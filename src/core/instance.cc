@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
+#include <string>
 #include <utility>
 
 #include "core/kernels.h"
@@ -11,8 +13,36 @@
 
 namespace rdbsc::core {
 
+namespace {
+
+/// Names the first non-finite value among `fields` of `kind` #`index`.
+util::Status CheckFinite(
+    const char* kind, size_t index,
+    std::initializer_list<std::pair<const char*, double>> fields) {
+  for (const auto& [name, value] : fields) {
+    if (!std::isfinite(value)) {
+      return util::Status::InvalidArgument(std::string(kind) + " " +
+                                           std::to_string(index) + ": " +
+                                           name + " is not finite");
+    }
+  }
+  return util::Status::OK();
+}
+
+}  // namespace
+
 util::Status Instance::Validate() const {
-  for (const Task& t : tasks_) {
+  for (size_t i = 0; i < tasks_.size(); ++i) {
+    const Task& t = tasks_[i];
+    if (util::Status s = CheckFinite("task", i,
+                                     {{"location.x", t.location.x},
+                                      {"location.y", t.location.y},
+                                      {"start", t.start},
+                                      {"end", t.end},
+                                      {"beta", t.beta}});
+        !s.ok()) {
+      return s;
+    }
     if (!(t.Duration() > 0.0)) {
       return util::Status::InvalidArgument("task has non-positive duration");
     }
@@ -20,7 +50,19 @@ util::Status Instance::Validate() const {
       return util::Status::InvalidArgument("task beta outside [0,1]");
     }
   }
-  for (const Worker& w : workers_) {
+  for (size_t j = 0; j < workers_.size(); ++j) {
+    const Worker& w = workers_[j];
+    if (util::Status s = CheckFinite("worker", j,
+                                     {{"location.x", w.location.x},
+                                      {"location.y", w.location.y},
+                                      {"velocity", w.velocity},
+                                      {"direction.lo", w.direction.lo()},
+                                      {"direction.width", w.direction.width()},
+                                      {"confidence", w.confidence},
+                                      {"available_from", w.available_from}});
+        !s.ok()) {
+      return s;
+    }
     if (!(w.velocity > 0.0)) {
       return util::Status::InvalidArgument("worker velocity not positive");
     }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -12,6 +11,57 @@
 #include "index/grid_index.h"
 
 namespace rdbsc {
+namespace engine {
+
+/// The typed state one request threads through the staged pipeline
+/// Validate -> Plan -> BuildGraph -> Solve. Each stage consumes the
+/// products of the previous ones and records its own, so an entry point
+/// can skip a stage by pre-filling its product (SolveOn sets `graph` and
+/// skips the build). Inputs are set up by the entry point; everything
+/// below the marker is stage output.
+struct ExecutionContext {
+  // --- inputs ---
+  const core::Instance* instance = nullptr;
+  util::Deadline deadline;
+  /// Optional executor the build/solve stages shard over (nullptr =
+  /// serial; results are bit-identical either way).
+  util::Executor* executor = nullptr;
+  /// When non-null, receives the partial stats of a failed solve.
+  core::SolveStats* partial_stats = nullptr;
+  /// Optional cache consulted by BuildGraph (plan/graph tier) and by the
+  /// full pipeline (result tier), per `cache_mode`.
+  SolveCache* cache = nullptr;
+  CacheMode cache_mode = CacheMode::kOff;
+  /// Optional precomputed result-tier key (unowned; must equal what
+  /// Engine::ResultCacheKey(*instance) would return). Callers that
+  /// already fingerprinted the instance -- engine::Server hashes it at
+  /// admission for single-flight -- pass it here so RunPipeline does not
+  /// hash the instance a second time.
+  const util::Hash128* result_key = nullptr;
+
+  // --- stage products ---
+  /// StageValidate passed (or validation is disabled).
+  bool validated = false;
+  /// StagePlan decided the build path below.
+  bool planned = false;
+  /// Cell side the grid path would use (resolved by StagePlan even when
+  /// the brute-force path wins, so cache keys are stable).
+  double resolved_eta = 0.0;
+  /// used_grid_index/eta after StagePlan; edges/build_seconds/from_cache
+  /// after StageBuildGraph.
+  GraphPlan plan;
+  /// StageBuildGraph product. Shared so the cache and any number of
+  /// concurrent readers can hold the same immutable graph.
+  std::shared_ptr<const core::CandidateGraph> graph;
+  /// StageSolve product.
+  core::SolveResult solve;
+  /// Result-tier hit: `solve`/`plan` were replayed from the cache and the
+  /// Plan/BuildGraph/Solve stages were skipped entirely.
+  bool result_from_cache = false;
+};
+
+}  // namespace engine
+
 namespace {
 
 // Cost-model inputs observed from the instance: L_max is the farthest any
@@ -391,46 +441,6 @@ util::StatusOr<EngineResult> Engine::RunIsolated(
   ctx.cache_mode = mode;
   ctx.result_key = result_key;
   return RunPipeline(ctx, *solver.value());
-}
-
-std::vector<util::StatusOr<EngineResult>> Engine::RunBatch(
-    std::span<const core::Instance> instances,
-    const RunControls& controls) {
-  const int n = static_cast<int>(instances.size());
-  std::vector<util::StatusOr<EngineResult>> results(
-      n, util::StatusOr<EngineResult>(
-             util::Status::Internal("batch slot never ran")));
-  if (n == 0) return results;
-  if (solver_ == nullptr) {
-    util::Status inert = util::Status::FailedPrecondition(
-        "engine not initialized; construct it with Engine::Create");
-    for (auto& slot : results) slot = inert;
-    return results;
-  }
-
-  // One deadline for the whole batch: the budget is an admission control
-  // on the batch, not a per-instance allowance. Every task gets its own
-  // registry-created solver (identical options), so per-instance results
-  // match individual Run calls and no solver is shared across threads.
-  // Instances run serially inside their task: the fan-out is per
-  // instance, and one queued task per instance (instead of static
-  // sharding) keeps the pool busy on heterogeneous batches.
-  util::Deadline deadline = MakeDeadline(controls);
-  auto run_one = [&](int64_t i) {
-    results[i] = RunIsolated(instances[i], deadline, controls.cache,
-                             controls.cache_mode);
-  };
-  if (pool_ == nullptr) {
-    for (int64_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    std::vector<std::future<void>> pending;
-    pending.reserve(n);
-    for (int64_t i = 0; i < n; ++i) {
-      pending.push_back(pool_->Submit([&run_one, i] { run_one(i); }));
-    }
-    for (std::future<void>& task : pending) task.get();
-  }
-  return results;
 }
 
 }  // namespace rdbsc

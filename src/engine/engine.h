@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,11 +86,8 @@ struct EngineConfig {
   /// Correlation fractal dimension fed to the cost model (2 = uniform).
   double d2 = 2.0;
 
-  /// Default wall-clock budget in seconds; <= 0 unlimited. The scope
-  /// depends on the entry point: Run and SolveOn derive one deadline per
-  /// call from it, but RunBatch derives ONE deadline for the whole batch
-  /// (a shared pool, not a per-instance allowance -- instances late in
-  /// the batch only get what their predecessors left). RunIsolated (and
+  /// Default wall-clock budget in seconds; <= 0 unlimited. Run and
+  /// SolveOn derive one deadline per call from it. RunIsolated (and
   /// therefore engine::Server, whose budgets come from ServerConfig's
   /// default_budget_seconds / total_budget_seconds pool) ignores this
   /// field entirely: the caller owns the deadline there.
@@ -101,9 +97,9 @@ struct EngineConfig {
 
   /// Worker threads of the engine-owned util::ThreadPool; <= 1 keeps the
   /// zero-thread serial default. The pool shards graph construction and
-  /// the D&C/sampling solvers inside Run/SolveOn, and schedules whole
-  /// instances in RunBatch. Results are bit-identical to serial for a
-  /// fixed solver seed at every thread count.
+  /// the D&C/sampling solvers inside Run/SolveOn. Results are
+  /// bit-identical to serial for a fixed solver seed at every thread
+  /// count.
   int num_threads = 0;
 
   /// Optional metrics sink (unowned; must outlive the engine). When set,
@@ -127,10 +123,10 @@ struct RunControls {
   /// When non-null, receives the partial stats of a failed solve.
   core::SolveStats* partial_stats = nullptr;
   /// Optional result/graph cache (unowned; must be thread-safe -- it is).
-  /// nullptr keeps every run cold. RunBatch shares one cache across all
-  /// slots. SolveOn ignores both cache fields: its graph is caller-
-  /// provided, so the content fingerprints (which describe the graph the
-  /// engine's own configuration would build) cannot vouch for the result.
+  /// nullptr keeps every run cold. SolveOn ignores both cache fields:
+  /// its graph is caller-provided, so the content fingerprints (which
+  /// describe the graph the engine's own configuration would build)
+  /// cannot vouch for the result.
   engine::SolveCache* cache = nullptr;
   /// What the run may do with `cache`; kDefault means kReadWrite when a
   /// cache is attached.
@@ -161,67 +157,19 @@ struct EngineResult {
 };
 
 namespace engine {
-
-/// The typed state one request threads through the staged pipeline
-/// Validate -> Plan -> BuildGraph -> Solve. Each stage consumes the
-/// products of the previous ones and records its own, so callers can run
-/// stages independently, skip a stage by pre-filling its product (e.g.
-/// SolveOn sets `graph` and skips the build), or replay a stage on a
-/// fresh context. Inputs are set up by the caller; everything below the
-/// marker is stage output.
-struct ExecutionContext {
-  // --- inputs ---
-  const core::Instance* instance = nullptr;
-  util::Deadline deadline;
-  /// Optional executor the build/solve stages shard over (nullptr =
-  /// serial; results are bit-identical either way).
-  util::Executor* executor = nullptr;
-  /// When non-null, receives the partial stats of a failed solve.
-  core::SolveStats* partial_stats = nullptr;
-  /// Optional cache consulted by BuildGraph (plan/graph tier) and by the
-  /// full pipeline (result tier), per `cache_mode`.
-  SolveCache* cache = nullptr;
-  CacheMode cache_mode = CacheMode::kOff;
-  /// Optional precomputed result-tier key (unowned; must equal what
-  /// Engine::ResultCacheKey(*instance) would return). Callers that
-  /// already fingerprinted the instance -- engine::Server hashes it at
-  /// admission for single-flight -- pass it here so RunPipeline does not
-  /// hash the instance a second time.
-  const util::Hash128* result_key = nullptr;
-
-  // --- stage products ---
-  /// StageValidate passed (or validation is disabled).
-  bool validated = false;
-  /// StagePlan decided the build path below.
-  bool planned = false;
-  /// Cell side the grid path would use (resolved by StagePlan even when
-  /// the brute-force path wins, so cache keys are stable).
-  double resolved_eta = 0.0;
-  /// used_grid_index/eta after StagePlan; edges/build_seconds/from_cache
-  /// after StageBuildGraph.
-  GraphPlan plan;
-  /// StageBuildGraph product. Shared so the cache and any number of
-  /// concurrent readers can hold the same immutable graph.
-  std::shared_ptr<const core::CandidateGraph> graph;
-  /// StageSolve product.
-  core::SolveResult solve;
-  /// Result-tier hit: `solve`/`plan` were replayed from the cache and the
-  /// Plan/BuildGraph/Solve stages were skipped entirely.
-  bool result_from_cache = false;
-};
-
+/// Per-request pipeline state (defined in engine.cc).
+struct ExecutionContext;
 }  // namespace engine
 
-/// The facade over the whole solving pipeline, now an explicit staged one:
+/// The facade over the whole solving pipeline, an explicit staged one:
 ///
 ///   Validate -> Plan -> BuildGraph -> Solve
 ///
-/// Each stage is a public method over an engine::ExecutionContext, so a
-/// stage can be run, skipped (pre-fill its product), or replayed
-/// independently; Run/RunIsolated/RunBatch/SolveOn are compositions of
-/// the stages. An optional engine::SolveCache short-circuits the pipeline
-/// at two seams: the full-result tier skips everything after Validate,
-/// and the plan/graph tier skips the candidate-graph build.
+/// Run/RunIsolated/SolveOn are compositions of private stage methods
+/// over one engine::ExecutionContext. An optional engine::SolveCache
+/// short-circuits the pipeline at two seams: the full-result tier skips
+/// everything after Validate, and the plan/graph tier skips the
+/// candidate-graph build.
 ///
 ///   auto engine = rdbsc::Engine::Create({.solver_name = "greedy"});
 ///   auto result = engine.value().Run(instance);
@@ -247,20 +195,6 @@ class Engine {
   util::StatusOr<EngineResult> Run(const core::Instance& instance,
                                    const RunControls& controls = {});
 
-  /// Batch admission: schedules whole instances across the engine's
-  /// thread pool (serially when num_threads <= 1) under ONE shared
-  /// wall-clock budget and cancellation token. Each instance runs the
-  /// full Run pipeline on its own registry-created solver, so per-
-  /// instance results are identical to individual Run calls; instances
-  /// that miss the shared budget fail with kDeadlineExceeded/kCancelled
-  /// individually. `controls.partial_stats` is ignored (there is no
-  /// single solve to attribute it to); `controls.cache` is shared by
-  /// every slot, so duplicate instances in one batch hit after the first
-  /// solve completes.
-  std::vector<util::StatusOr<EngineResult>> RunBatch(
-      std::span<const core::Instance> instances,
-      const RunControls& controls = {});
-
   /// Graph half of the facade, for callers that reuse one graph across
   /// several solves (e.g. the bench sweeps running 4 approaches). Sharded
   /// over the engine pool; fails with kDeadlineExceeded / kCancelled once
@@ -278,9 +212,9 @@ class Engine {
       const core::Instance& instance, const core::CandidateGraph& graph,
       const RunControls& controls = {});
 
-  /// The RunBatch per-slot path, exposed for async admission layers
-  /// (engine::Server): runs the full pipeline on a fresh registry-created
-  /// solver under a caller-owned deadline (EngineConfig::budget_seconds
+  /// The entry point of async admission layers (engine::Server): runs
+  /// the full pipeline on a fresh registry-created solver under a
+  /// caller-owned deadline (EngineConfig::budget_seconds
   /// is ignored here). Thread-safe -- concurrent calls share no mutable
   /// state -- and serial inside the call (no executor), so the result is
   /// bit-identical no matter which thread runs it. `cache`/`mode` follow
@@ -296,8 +230,23 @@ class Engine {
       engine::CacheMode mode = engine::CacheMode::kDefault,
       const util::Hash128* result_key = nullptr) const;
 
-  // --- The pipeline stages (see engine::ExecutionContext) ---
+  /// The full-result cache key / single-flight identity of `instance`
+  /// under this engine's configuration: a content hash over the instance,
+  /// the solver name + options, and the graph strategy (engine/
+  /// fingerprint.h documents the exact field order).
+  util::Hash128 ResultCacheKey(const core::Instance& instance) const;
 
+  const EngineConfig& config() const { return config_; }
+  /// Registry key, e.g. "dc".
+  const std::string& solver_name() const { return config_.solver_name; }
+  /// The solver's display name, e.g. "D&C" (empty on an inert engine).
+  std::string_view solver_display_name() const;
+
+  /// The engine-owned pool, or nullptr when num_threads <= 1 (serial).
+  util::Executor* executor() const { return pool_.get(); }
+
+ private:
+  // --- The pipeline stages (see engine::ExecutionContext) ---
   /// Validate: admission control. Fails with the instance's validation
   /// error; a no-op (still marking `validated`) when the engine is
   /// configured with validate_instances = false.
@@ -325,22 +274,6 @@ class Engine {
   util::StatusOr<EngineResult> RunPipeline(engine::ExecutionContext& ctx,
                                            core::Solver& solver) const;
 
-  /// The full-result cache key / single-flight identity of `instance`
-  /// under this engine's configuration: a content hash over the instance,
-  /// the solver name + options, and the graph strategy (engine/
-  /// fingerprint.h documents the exact field order).
-  util::Hash128 ResultCacheKey(const core::Instance& instance) const;
-
-  const EngineConfig& config() const { return config_; }
-  /// Registry key, e.g. "dc".
-  const std::string& solver_name() const { return config_.solver_name; }
-  /// The solver's display name, e.g. "D&C" (empty on an inert engine).
-  std::string_view solver_display_name() const;
-
-  /// The engine-owned pool, or nullptr when num_threads <= 1 (serial).
-  util::Executor* executor() const { return pool_.get(); }
-
- private:
   util::Status CheckInitialized() const;
   util::Deadline MakeDeadline(const RunControls& controls) const;
   /// The planned construction itself (grid or brute), shared by

@@ -1,6 +1,7 @@
 #include "io/csv.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -37,6 +38,12 @@ util::Status ParseDouble(const std::string& text, int line_number,
     return util::Status::InvalidArgument("line " +
                                          std::to_string(line_number) +
                                          ": trailing junk in '" + text + "'");
+  }
+  if (!std::isfinite(value)) {
+    return util::Status::InvalidArgument("line " +
+                                         std::to_string(line_number) +
+                                         ": non-finite number '" + text +
+                                         "'");
   }
   *out = value;
   return util::Status::OK();

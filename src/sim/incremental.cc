@@ -264,11 +264,14 @@ IncrementalAssigner::Update(double now) {
   } else {
     // Valid pairs among available workers and open tasks. kDelta repairs
     // only dirty / horizon-expired rows and materializes the maintained
-    // edit structure; kRebuild pays the full index retrieval. Unlimited
-    // deadline and serial retrieval either way: never fails.
+    // edit structure; kRebuild pays the full index retrieval. A failed
+    // repair would leave stale rows, so it fails the round before the
+    // solver runs.
     std::vector<std::pair<core::WorkerId, core::TaskId>> pairs;
     if (mode_ == MaintenanceMode::kDelta) {
-      delta_.RepairRows(index_).ok();
+      if (util::Status repaired = delta_.RepairRows(index_); !repaired.ok()) {
+        return repaired;
+      }
       pairs = delta_.Pairs();
 #ifndef NDEBUG
       // The tentpole contract, checked on every Debug round: the

@@ -88,8 +88,9 @@ class IncrementalAssigner {
   /// (expired, completed, arrived, moved; ascending id within each group
   /// -- the batch is canonicalized internally) after advancing the clock
   /// to `batch.now`. Stops at the first failing event; already-applied
-  /// events stay applied. The usual streaming round is
-  /// `ApplyEvents(batch)` then `Update(batch.now)`.
+  /// events stay applied. This pair is the library's one event-driven
+  /// surface: a streaming round is `ApplyEvents(batch)` then
+  /// `Update(batch.now)`.
   util::Status ApplyEvents(const EventBatch& batch);
 
   /// Switches maintenance strategy. Entering kDelta resynchronizes the
@@ -112,8 +113,8 @@ class IncrementalAssigner {
 
   /// One round of Figure 10: assigns available workers to open tasks that
   /// are still live at `now` (expired tasks are dropped first). Returns
-  /// the pairs newly committed this round, or the solver's failure (no
-  /// commitments are made on a failed round).
+  /// the pairs newly committed this round, or the delta repair's or the
+  /// solver's failure (no commitments are made on a failed round).
   ///
   /// Rounds are content-fingerprinted (core::InstanceFingerprint over the
   /// compact snapshot, which includes `now`): when a round's snapshot is

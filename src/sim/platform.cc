@@ -1,7 +1,6 @@
 #include "sim/platform.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -12,8 +11,6 @@
 #include "core/diversity.h"
 #include "core/registry.h"
 #include "engine/server.h"
-#include "index/delta_graph.h"
-#include "index/grid_index.h"
 #include "util/config.h"
 #include "util/deadline.h"
 #include "geo/angle.h"
@@ -38,12 +35,6 @@ struct Site {
   std::vector<core::Observation> contributions;
   int pending = 0;  ///< workers en route
 };
-
-/// Grid granularity of the streaming-mode index. The campus is a few
-/// thousandths of the unit square, so one ~0.05 cell typically holds the
-/// whole scene -- the streaming win here is row reuse across ticks, not
-/// spatial pruning (that is fig17's subject).
-constexpr double kStreamingEta = 0.05;
 
 core::ObjectiveValue ComputeObjectives(const std::vector<Site>& sites) {
   core::ObjectiveValue value;
@@ -84,10 +75,6 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
 
 util::StatusOr<PlatformResult> Platform::Run() {
   if (!init_status_.ok()) return init_status_;
-  if (config_.streaming && config_.server_workers > 0) {
-    return util::Status::InvalidArgument(
-        "streaming platform mode is inline-only (server_workers must be 0)");
-  }
   util::Rng rng(config_.seed);
   PlatformResult result;
 
@@ -162,26 +149,6 @@ util::StatusOr<PlatformResult> Platform::Run() {
         config_.p_max);
   }
 
-  // --- Streaming mode: a run-lifetime index + delta graph, maintained
-  // event-by-event (arrivals, expirations, completions) instead of being
-  // rebuilt from the snapshot every tick. ---
-  std::unique_ptr<index::GridIndex> sindex;
-  std::unique_ptr<index::DeltaGraph> sdelta;
-  std::vector<char> task_indexed;
-  if (config_.streaming) {
-    sindex = std::make_unique<index::GridIndex>(
-        kStreamingEta, /*now=*/0.0, core::ArrivalPolicy::kStrict);
-    sdelta = std::make_unique<index::DeltaGraph>();
-    task_indexed.assign(static_cast<size_t>(config_.num_sites), 1);
-    for (core::TaskId i = 0; i < config_.num_sites; ++i) {
-      sindex->InsertTask(i, sites[i].task).ok();
-    }
-    for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
-      sindex->InsertWorker(j, workers[j].profile).ok();
-      sdelta->AddRow(j).ok();
-    }
-  }
-
   double accuracy_error_sum = 0.0;
 
   auto deliver_arrivals = [&](double until) {
@@ -227,31 +194,12 @@ util::StatusOr<PlatformResult> Platform::Run() {
             (1.0 - site.task.beta) * dt / site.task.Duration();
       }
       mw.target = core::kNoTask;
-      // Completion event: the worker is assignable again from the site.
-      if (sindex != nullptr) {
-        sindex->InsertWorker(j, mw.profile).ok();
-        sdelta->AddRow(j).ok();
-      }
     }
   };
 
   // --- Incremental updating loop (Figure 10). ---
   for (double t = 0.0; t < config_.horizon; t += config_.t_interval) {
     deliver_arrivals(t);
-
-    // Streaming maintenance: expire closed tasks as delta events, then
-    // advance the shared clock (validity windows only ever shrink).
-    if (sindex != nullptr) {
-      for (core::TaskId i = 0; i < config_.num_sites; ++i) {
-        if (task_indexed[static_cast<size_t>(i)] != 0 &&
-            sites[i].task.end < t) {
-          sindex->RemoveTask(i).ok();
-          sdelta->OnTaskRemoved(i);
-          task_indexed[static_cast<size_t>(i)] = 0;
-        }
-      }
-      sindex->set_now(t);
-    }
 
     // Snapshot the open tasks and available workers.
     std::vector<core::Task> open_tasks;
@@ -287,75 +235,13 @@ util::StatusOr<PlatformResult> Platform::Run() {
       solve = run.value().solve;
     } else {
       // Inline path: graph build and solve run through the platform pool.
-      // Streaming mode repairs the delta-maintained rows and remaps them
-      // into the snapshot's local id space instead of paying the O(m*n)
-      // build; the edge set is identical by the DeltaGraph contract.
       const auto build_start = std::chrono::steady_clock::now();
-      core::CandidateGraph graph = [&] {
-        if (sindex == nullptr) {
-          return core::CandidateGraph::Build(snapshot, pool_.get(),
-                                             util::Deadline())
+      const core::CandidateGraph graph =
+          core::CandidateGraph::Build(snapshot, pool_.get(), util::Deadline())
               .value();
-        }
-        sdelta->RepairRows(*sindex).ok();
-        std::vector<core::TaskId> task_local(
-            static_cast<size_t>(config_.num_sites), core::kNoTask);
-        for (size_t k = 0; k < open_ids.size(); ++k) {
-          task_local[static_cast<size_t>(open_ids[k])] =
-              static_cast<core::TaskId>(k);
-        }
-        std::vector<core::WorkerId> worker_local(
-            static_cast<size_t>(config_.num_workers), core::kNoWorker);
-        for (size_t k = 0; k < free_ids.size(); ++k) {
-          worker_local[static_cast<size_t>(free_ids[k])] =
-              static_cast<core::WorkerId>(k);
-        }
-        // Global ids map to locals monotonically (both id lists are
-        // ascending), so each remapped row stays sorted as FromEdges
-        // expects.
-        const auto flat = sdelta->Pairs();
-        std::vector<std::vector<core::TaskId>> edges(
-            static_cast<size_t>(snapshot.num_workers()));
-        // The flat list is worker-grouped: remap one run at a time so
-        // each local row is reserved once instead of grown per edge.
-        for (size_t a = 0; a < flat.size();) {
-          size_t b = a;
-          while (b < flat.size() && flat[b].first == flat[a].first) ++b;
-          const core::WorkerId lj =
-              worker_local[static_cast<size_t>(flat[a].first)];
-          if (lj != core::kNoWorker) {
-            std::vector<core::TaskId>& row = edges[static_cast<size_t>(lj)];
-            row.reserve(b - a);
-            for (size_t k = a; k < b; ++k) {
-              const core::TaskId li =
-                  task_local[static_cast<size_t>(flat[k].second)];
-              if (li != core::kNoTask) row.push_back(li);
-            }
-          }
-          a = b;
-        }
-        return core::CandidateGraph::FromEdges(snapshot, std::move(edges));
-      }();
       if (m_round_build != nullptr) {
         m_round_build->Observe(util::SecondsSince(build_start));
       }
-#ifndef NDEBUG
-      if (sindex != nullptr) {
-        // Streaming contract: the delta-maintained graph is bit-identical
-        // to the per-tick rebuild, every tick.
-        const core::CandidateGraph oracle =
-            core::CandidateGraph::Build(snapshot, pool_.get(),
-                                        util::Deadline())
-                .value();
-        for (core::WorkerId lj = 0; lj < snapshot.num_workers(); ++lj) {
-          const auto mine = graph.TasksOf(lj);
-          const auto want = oracle.TasksOf(lj);
-          assert(std::equal(mine.begin(), mine.end(), want.begin(),
-                            want.end()) &&
-                 "streaming graph diverged from per-tick rebuild");
-        }
-      }
-#endif
       core::SolveRequest request;
       request.instance = &snapshot;
       request.graph = &graph;
@@ -379,11 +265,6 @@ util::StatusOr<PlatformResult> Platform::Run() {
       Site& site = sites[open_ids[li]];
       mw.traveling = true;
       mw.target = open_ids[li];
-      // Departure event: the worker leaves the assignable pool.
-      if (sindex != nullptr) {
-        sindex->RemoveWorker(free_ids[lj]).ok();
-        sdelta->RemoveRow(free_ids[lj]).ok();
-      }
       mw.arrival_time =
           core::ArrivalTime(mw.profile, site.task, t,
                             core::ArrivalPolicy::kStrict);

@@ -62,20 +62,10 @@ struct PlatformConfig {
   /// mode; only tick latency varies. kDefault keeps the server's own
   /// default (off).
   engine::CacheMode cache_mode = engine::CacheMode::kDefault;
-  /// Event-driven maintenance mode: the platform owns a grid index plus
-  /// an index::DeltaGraph across the whole run and feeds each tick's
-  /// world changes to them as deltas (task expirations, workers leaving
-  /// on assignment and returning on arrival) instead of rebuilding the
-  /// candidate graph from the snapshot every round. Inline-only
-  /// (server_workers must be 0). The simulated trajectory -- every
-  /// assignment, answer, and objective -- is bit-identical to the
-  /// rebuild path; Debug builds assert graph equality every tick.
-  bool streaming = false;
   /// Optional metrics sink (unowned; must outlive Run()). Records the
   /// counters sim.rounds / sim.assignments / sim.answers and the
   /// per-round histograms sim.round_solve_seconds and (inline path)
-  /// sim.round_build_seconds -- the graph-maintenance phase, i.e. full
-  /// CandidateGraph::Build per tick vs. the streaming delta repair (all
+  /// sim.round_build_seconds -- the per-tick CandidateGraph::Build (all
   /// labeled {solver}); in server mode the registry is also attached to the
   /// server's engine, so the engine.stage_seconds breakdown lands next
   /// to the sim metrics. Purely observational: the simulated trajectory

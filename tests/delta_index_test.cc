@@ -17,8 +17,6 @@
 #include "index/grid_index.h"
 #include "sim/events.h"
 #include "sim/incremental.h"
-#include "sim/platform.h"
-#include "sim/streaming.h"
 #include "util/rng.h"
 
 namespace rdbsc {
@@ -509,98 +507,6 @@ TEST(DeltaIndexPropertyTest, EventBatchOrderIsCanonical) {
     return assigner.Update(0.0).value();
   };
   EXPECT_EQ(run(false), run(true));
-}
-
-// ---------------------------------------------------------------------------
-// StreamingSession facade: rounds match the rebuild-mode session.
-
-TEST(StreamingSessionTest, RoundsMatchRebuildMode) {
-  auto drive = [](sim::MaintenanceMode mode) {
-    EngineConfig config;
-    config.solver_name = "greedy";
-    config.eta = 0.1;
-    auto session = sim::StreamingSession::Create(config, mode).value();
-    util::Rng rng(7);
-    for (core::WorkerId j = 0; j < 6; ++j) {
-      EXPECT_TRUE(
-          session->assigner().AddWorker(j, RandomWorker(rng)).ok());
-    }
-    std::vector<std::pair<core::TaskId, core::WorkerId>> all;
-    for (int round = 0; round < 6; ++round) {
-      sim::EventBatch batch;
-      batch.now = 0.05 * round;
-      for (int a = 0; a < 2; ++a) {
-        batch.arrived.push_back(
-            {static_cast<core::TaskId>(2 * round + a),
-             RandomTask(rng, batch.now)});
-      }
-      auto committed = session->Round(batch).value();
-      all.insert(all.end(), committed.begin(), committed.end());
-    }
-    return all;
-  };
-  EXPECT_EQ(drive(sim::MaintenanceMode::kDelta),
-            drive(sim::MaintenanceMode::kRebuild));
-}
-
-TEST(StreamingSessionTest, UnknownSolverSurfacesNotFound) {
-  EngineConfig config;
-  config.solver_name = "no-such-solver";
-  EXPECT_EQ(sim::StreamingSession::Create(config).status().code(),
-            util::StatusCode::kNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// Platform streaming mode: the whole simulated trajectory -- rounds,
-// answers, objectives -- is bit-identical to the rebuild path, at every
-// thread count.
-
-TEST(StreamingPlatformTest, TrajectoryMatchesInlineRebuild) {
-  for (int threads : {1, 2, 8}) {
-    sim::PlatformConfig base;
-    base.num_sites = 6;
-    base.num_workers = 14;
-    base.horizon = 0.25;
-    base.num_threads = threads;
-    base.solver_name = "greedy";
-
-    sim::PlatformConfig streaming = base;
-    streaming.streaming = true;
-
-    const sim::PlatformResult a = sim::Platform(base).Run().value();
-    const sim::PlatformResult b = sim::Platform(streaming).Run().value();
-
-    ASSERT_EQ(a.rounds.size(), b.rounds.size()) << "threads " << threads;
-    for (size_t r = 0; r < a.rounds.size(); ++r) {
-      EXPECT_EQ(a.rounds[r].time, b.rounds[r].time);
-      EXPECT_EQ(a.rounds[r].newly_assigned, b.rounds[r].newly_assigned);
-      EXPECT_EQ(a.rounds[r].objectives.min_reliability,
-                b.rounds[r].objectives.min_reliability);
-      EXPECT_EQ(a.rounds[r].objectives.total_std,
-                b.rounds[r].objectives.total_std);
-    }
-    ASSERT_EQ(a.answers.size(), b.answers.size());
-    for (size_t k = 0; k < a.answers.size(); ++k) {
-      EXPECT_EQ(a.answers[k].task, b.answers[k].task);
-      EXPECT_EQ(a.answers[k].worker, b.answers[k].worker);
-      EXPECT_EQ(a.answers[k].angle, b.answers[k].angle);
-      EXPECT_EQ(a.answers[k].time, b.answers[k].time);
-    }
-    EXPECT_EQ(a.assignments_made, b.assignments_made);
-    EXPECT_EQ(a.answers_received, b.answers_received);
-    EXPECT_EQ(a.final_objectives.min_reliability,
-              b.final_objectives.min_reliability);
-    EXPECT_EQ(a.final_objectives.total_std, b.final_objectives.total_std);
-    EXPECT_EQ(a.mean_accuracy_error, b.mean_accuracy_error);
-  }
-}
-
-TEST(StreamingPlatformTest, StreamingIsInlineOnly) {
-  sim::PlatformConfig config;
-  config.streaming = true;
-  config.server_workers = 2;
-  EXPECT_EQ(sim::Platform(config).Run().status().code(),
-            util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

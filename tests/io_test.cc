@@ -112,6 +112,20 @@ TEST(CsvTest, MalformedNumberRejectedWithLine) {
   EXPECT_NE(read.status().message().find("line 3"), std::string::npos);
 }
 
+TEST(CsvTest, NonFiniteNumberRejectedWithLine) {
+  for (const char* bad : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    std::string path = TempPath("non_finite.csv");
+    WriteFile(path, std::string("x,y,start,end,beta\n0.1,0.2,0.3,0.4,0.5\n"
+                                "0.1,0.2,0,1,") +
+                        bad + "\n");
+    auto read = ReadTasksCsv(path);
+    ASSERT_EQ(read.status().code(), util::StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_NE(read.status().message().find("line 3"), std::string::npos)
+        << read.status().message();
+  }
+}
+
 TEST(CsvTest, EmptyBodyGivesEmptyVector) {
   std::string path = TempPath("empty.csv");
   WriteFile(path, "x,y,start,end,beta\n");

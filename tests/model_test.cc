@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numbers>
+#include <string>
 
 #include "core/instance.h"
 #include "gtest/gtest.h"
@@ -128,6 +129,60 @@ TEST(InstanceTest, ValidateRejectsBadWorker) {
   w.confidence = 2.0;
   Instance instance2({}, {w});
   EXPECT_FALSE(instance2.Validate().ok());
+}
+
+// Expects Validate to fail with kInvalidArgument and `message` verbatim.
+void ExpectInvalid(const Instance& instance, const std::string& message) {
+  const util::Status status = instance.Validate();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << message;
+  EXPECT_EQ(status.message(), message);
+}
+
+TEST(InstanceTest, ValidateRejectsNonFiniteTask) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Task good = test::MakeTask();
+  Task t = good;
+  t.beta = nan;
+  ExpectInvalid(Instance({good, t}, {}), "task 1: beta is not finite");
+  t = good;
+  t.location.x = nan;
+  ExpectInvalid(Instance({t}, {}), "task 0: location.x is not finite");
+  t = good;
+  t.location.y = -inf;
+  ExpectInvalid(Instance({t}, {}), "task 0: location.y is not finite");
+  t = good;
+  t.end = inf;
+  ExpectInvalid(Instance({t}, {}), "task 0: end is not finite");
+  t = good;
+  t.start = -inf;
+  ExpectInvalid(Instance({t}, {}), "task 0: start is not finite");
+}
+
+TEST(InstanceTest, ValidateRejectsNonFiniteWorker) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const Worker good =
+      MakeWorker({0.5, 0.5}, 1.0, geo::AngularInterval::FullCircle());
+  Worker w = good;
+  w.confidence = nan;
+  ExpectInvalid(Instance({}, {good, good, good, w}),
+                "worker 3: confidence is not finite");
+  w = good;
+  w.velocity = inf;
+  ExpectInvalid(Instance({}, {w}), "worker 0: velocity is not finite");
+  w = good;
+  w.location.x = inf;
+  ExpectInvalid(Instance({}, {w}), "worker 0: location.x is not finite");
+  w = good;
+  w.location.y = nan;
+  ExpectInvalid(Instance({}, {w}), "worker 0: location.y is not finite");
+  w = good;
+  w.direction = geo::AngularInterval(nan, 1.0);
+  ExpectInvalid(Instance({}, {w}), "worker 0: direction.lo is not finite");
+  w = good;
+  w.available_from = nan;
+  ExpectInvalid(Instance({}, {w}), "worker 0: available_from is not finite");
 }
 
 TEST(CandidateGraphTest, BuildMatchesPairwisePredicate) {

@@ -256,7 +256,7 @@ def check_unordered_iter(src: SourceFile) -> list[Finding]:
 # must poll between row blocks or graph builds become uncancellable.
 # RepairRows: the delta-apply repair driver (index/delta_graph.cc) that
 # recomputes dirty / horizon-expired candidate rows -- same contract, or
-# streaming rounds become uncancellable.
+# IncrementalAssigner delta rounds become uncancellable.
 SOLVEIMPL_RE = re.compile(r"\b(?:SolveImpl|ValidPairsRows|RepairRows)\s*\(")
 DEADLINE_USE_RE = re.compile(r"\bdeadline\b")
 
@@ -389,10 +389,10 @@ RULE_SCOPES = {
     # fingerprints must be wall-clock free, so it inherits the ambient
     # rules: schedules draw only from util::Rng streams seeded by the
     # spec, and replay may touch steady_clock (pacing/latency) but never
-    # system_clock/time(). src/sim joined with the streaming delta engine
-    # (events.h / streaming.* and the delta-maintained platform tick):
-    # event application and round trajectories must replay bit-identically,
-    # so the simulator draws only from seeded util::Rng streams too.
+    # system_clock/time(). src/sim holds the event-driven surface
+    # (events.h and IncrementalAssigner) and the platform tick: event
+    # application and round trajectories must replay bit-identically, so
+    # the simulator draws only from seeded util::Rng streams too.
     "ambient-time": ("src/core", "src/engine", "src/index", "src/obs",
                      "src/sim", "src/wl"),
     "ambient-rng": ("src/core", "src/engine", "src/index", "src/obs",
