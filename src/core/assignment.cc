@@ -60,6 +60,25 @@ const std::vector<Observation>& AssignmentState::ObservationRowOf(
   return obs_rows_[j];
 }
 
+const StdBoundsView& AssignmentState::BoundsViewOf(TaskId i) const {
+  if (bounds_views_.empty()) {
+    bounds_views_.resize(static_cast<size_t>(instance_->num_tasks()));
+    bounds_view_ready_.assign(static_cast<size_t>(instance_->num_tasks()), 0);
+  }
+  StdBoundsView& view = bounds_views_[static_cast<size_t>(i)];
+  if (!bounds_view_ready_[static_cast<size_t>(i)]) {
+    view.Build(instance_->task(i), task_obs_[i]);
+    bounds_view_ready_[static_cast<size_t>(i)] = 1;
+  }
+  return view;
+}
+
+void AssignmentState::InvalidateBoundsView(TaskId i) {
+  if (!bounds_view_ready_.empty()) {
+    bounds_view_ready_[static_cast<size_t>(i)] = 0;
+  }
+}
+
 Observation AssignmentState::ObservationFor(TaskId i, WorkerId j) const {
   if (obs_row_ready_[j]) return obs_rows_[j][static_cast<size_t>(i)];
   return MakeObservation(instance_->task(i), instance_->worker(j),
@@ -73,6 +92,7 @@ void AssignmentState::Add(TaskId i, WorkerId j) {
   task_workers_[i].push_back(j);
   task_obs_[i].push_back(ObservationFor(i, j));
   task_r_[i] += util::ReliabilityWeight(instance_->worker(j).confidence);
+  InvalidateBoundsView(i);
   RecomputeTask(i);
 }
 
@@ -91,6 +111,7 @@ void AssignmentState::Remove(WorkerId j) {
     --num_nonempty_;
     task_r_[i] = 0.0;  // cancel accumulated rounding noise
   }
+  InvalidateBoundsView(i);
   RecomputeTask(i);
 }
 
@@ -99,6 +120,7 @@ void AssignmentState::Reset(const Assignment& assignment) {
   assignment_ = Assignment(instance_->num_workers());
   for (auto& v : task_workers_) v.clear();
   for (auto& v : task_obs_) v.clear();
+  std::fill(bounds_view_ready_.begin(), bounds_view_ready_.end(), 0);
   std::fill(task_r_.begin(), task_r_.end(), 0.0);
   std::fill(task_std_.begin(), task_std_.end(), 0.0);
   total_std_ = 0.0;
@@ -162,13 +184,12 @@ double AssignmentState::PreviewTaskStd(TaskId i, WorkerId j) const {
 
 DiversityBounds AssignmentState::PreviewTaskStdBounds(TaskId i,
                                                       WorkerId j) const {
-  std::vector<Observation> obs = task_obs_[i];
-  obs.push_back(ObservationRowOf(j)[static_cast<size_t>(i)]);
-  return ExpectedStdBounds(instance_->task(i), obs);
+  const Observation& extra = ObservationRowOf(j)[static_cast<size_t>(i)];
+  return BoundsViewOf(i).Bounds(instance_->task(i), &extra);
 }
 
 DiversityBounds AssignmentState::TaskStdBounds(TaskId i) const {
-  return ExpectedStdBounds(instance_->task(i), task_obs_[i]);
+  return BoundsViewOf(i).Bounds(instance_->task(i));
 }
 
 ObjectiveValue EvaluateAssignment(const Instance& instance,

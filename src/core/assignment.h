@@ -1,6 +1,7 @@
 #ifndef RDBSC_CORE_ASSIGNMENT_H_
 #define RDBSC_CORE_ASSIGNMENT_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/diversity.h"
@@ -105,11 +106,14 @@ class AssignmentState {
   /// state. Cost: O(r_i^2); used by the greedy exact-increment step.
   double PreviewTaskStd(TaskId i, WorkerId j) const;
 
-  /// Lower/upper bounds of E[STD(t_i)] if worker j were added (O(r log r));
-  /// feeds the Lemma 4.3 pruning.
+  /// Lower/upper bounds of E[STD(t_i)] if worker j were added; feeds the
+  /// Lemma 4.3 pruning. O(r_i) and allocation-free over task i's bounds
+  /// view (built on first use after each change to the task, O(r log r)),
+  /// and bit-identical to ExpectedStdBounds of the task's observations
+  /// plus (i, j)'s.
   DiversityBounds PreviewTaskStdBounds(TaskId i, WorkerId j) const;
 
-  /// Bounds of the current E[STD(t_i)].
+  /// Bounds of the current E[STD(t_i)], served from the same view.
   DiversityBounds TaskStdBounds(TaskId i) const;
 
  private:
@@ -126,6 +130,13 @@ class AssignmentState {
   Observation ObservationFor(TaskId i, WorkerId j) const;
   const std::vector<Observation>& ObservationRowOf(WorkerId j) const;
 
+  /// Task i's bounds view, rebuilt when Add/Remove/Reset changed the task.
+  /// Views are allocated on the first bounds call, never by the
+  /// constructor: D&C builds thousands of states per solve and sampling
+  /// one per evaluated assignment, and neither asks for bounds.
+  const StdBoundsView& BoundsViewOf(TaskId i) const;
+  void InvalidateBoundsView(TaskId i);
+
   const Instance* instance_;
   Assignment assignment_;
   std::vector<std::vector<WorkerId>> task_workers_;
@@ -141,6 +152,10 @@ class AssignmentState {
   /// sampling evaluations); nothing shares one across threads.
   mutable std::vector<std::vector<Observation>> obs_rows_;
   mutable std::vector<uint8_t> obs_row_ready_;
+
+  /// Lazy per-task bounds views (empty until the first bounds call).
+  mutable std::vector<StdBoundsView> bounds_views_;
+  mutable std::vector<uint8_t> bounds_view_ready_;
 };
 
 /// Evaluates an assignment's objectives from scratch (convenience wrapper

@@ -19,6 +19,22 @@ using util::EntropyTerm;
 // Entropy of a two-way split a : (1-a); the diversity of a two-ray world.
 double TwoWayEntropy(double a) { return EntropyTerm(a) + EntropyTerm(1.0 - a); }
 
+// True when no remaining term of a row of the M_SD / M_TD sums can change
+// `expected`. Every later term of the row whose first divider has
+// confidence c is EntropyTerm(.) * c * c_k * between_absent with
+// |EntropyTerm| <= 1/e, c_k <= 1 and a non-increasing between_absent, so by
+// monotone rounding it is at most 0.5 * c * between_absent. Below
+// expected * 2^-55 (under half the spacing of doubles on either side of a
+// normal `expected`) adding it returns `expected` unchanged, so ending the
+// row there gives the same bits as summing it out. Rows past a few
+// near-certain dividers end after O(1) terms instead of O(r). The test
+// only runs once between_absent < 2^-40 (a cheap filter; it can only
+// delay the exit), which keeps short rows at their old cost.
+bool RestOfRowVanishes(double expected, double c, double between_absent) {
+  return between_absent < 0x1p-40 && expected > 0x1p-960 &&
+         0.5 * c * between_absent < expected * 0x1p-55;
+}
+
 // Observations sorted by approach angle, with circular gap g[i] from ray i
 // to ray i+1 (cyclic).
 struct AngularLayout {
@@ -159,6 +175,9 @@ double ExpectedSpatialDiversity(const std::vector<Observation>& obs) {
     double between_absent = 1.0;  // prod of (1 - p_x) for x strictly between
     double swept = 0.0;           // angle from ray j to ray k
     for (size_t step = 1; step < r; ++step) {
+      if (RestOfRowVanishes(expected, layout.confidence[j], between_absent)) {
+        break;
+      }
       size_t k = (j + step) % r;
       swept += layout.gap[(j + step - 1) % r];
       expected += EntropyTerm(swept / kTwoPi) * layout.confidence[j] *
@@ -185,6 +204,9 @@ double ExpectedTemporalDiversity(const std::vector<Observation>& obs,
   for (size_t a = 0; a + 1 < b; ++a) {
     double between_absent = 1.0;
     for (size_t k = a + 1; k < b; ++k) {
+      if (RestOfRowVanishes(expected, layout.confidence[a], between_absent)) {
+        break;
+      }
       double len = layout.time[k] - layout.time[a];
       expected += EntropyTerm(len / duration) * layout.confidence[a] *
                   layout.confidence[k] * between_absent;
@@ -275,6 +297,180 @@ DiversityBounds ExpectedStdBounds(const Task& task,
       best = std::min(best, TwoWayEntropy(a));
     }
     min_td = best;
+  }
+
+  bounds.lb = task.beta * p_ge2 * min_sd + (1.0 - task.beta) * p_ge1 * min_td;
+  bounds.lb = std::min(bounds.lb, bounds.ub);
+  return bounds;
+}
+
+void StdBoundsView::Build(const Task& task,
+                          const std::vector<Observation>& obs) {
+  const size_t r = obs.size();
+  sd_angle_.clear();
+  ring_raw_.clear();
+  arrival_.clear();
+  for (const Observation& o : obs) {
+    sd_angle_.push_back(geo::NormalizeAngle(o.angle));
+    ring_raw_.push_back(o.angle);
+    // Clamping is monotone, so clamping after sorting (TemporalDiversity)
+    // and sorting after clamping give the same sequence.
+    arrival_.push_back(std::clamp(o.arrival, task.start, task.end));
+  }
+  std::sort(sd_angle_.begin(), sd_angle_.end());
+  std::sort(ring_raw_.begin(), ring_raw_.end());
+  std::sort(arrival_.begin(), arrival_.end());
+
+  sd_gap_.clear();
+  sd_term_.clear();
+  for (size_t k = 0; k + 1 < r; ++k) {
+    double gap = sd_angle_[k + 1] - sd_angle_[k];
+    sd_gap_.push_back(gap);
+    sd_term_.push_back(EntropyTerm(gap / kTwoPi));
+  }
+
+  ring_angle_.clear();
+  ring_gap_.clear();
+  for (double raw : ring_raw_) ring_angle_.push_back(geo::NormalizeAngle(raw));
+  for (size_t k = 0; k + 1 < r; ++k) {
+    ring_gap_.push_back(geo::CcwDelta(ring_angle_[k], ring_angle_[k + 1]));
+  }
+
+  td_term_.clear();
+  const double duration = task.end - task.start;
+  double prev = task.start;
+  for (double t : arrival_) {
+    td_term_.push_back(EntropyTerm((t - prev) / duration));
+    prev = t;
+  }
+  td_term_.push_back(EntropyTerm((task.end - prev) / duration));
+
+  absent_prefix_.assign(1, 1.0);
+  present_first_.clear();
+  absent_.clear();
+  min_td_ = std::numeric_limits<double>::infinity();
+  for (const Observation& o : obs) {
+    double p = ClampConfidence(o.confidence);
+    present_first_.push_back(p * absent_prefix_.back());
+    absent_.push_back(1.0 - p);
+    absent_prefix_.push_back(absent_prefix_.back() * (1.0 - p));
+    double a = (std::clamp(o.arrival, task.start, task.end) - task.start) /
+               task.Duration();
+    min_td_ = std::min(min_td_, TwoWayEntropy(a));
+  }
+}
+
+DiversityBounds StdBoundsView::Bounds(const Task& task,
+                                      const Observation* extra) const {
+  DiversityBounds bounds;
+  const bool insert = extra != nullptr;
+  const size_t old_r = absent_.size();
+  const size_t r = old_r + (insert ? 1 : 0);
+  if (r == 0) return bounds;
+
+  // Each walk below visits the r' gaps (or sub-intervals) of the sorted
+  // sequence with the new element merged in at position q: cached gaps
+  // before q, the one or two gaps touching the new element, cached gaps
+  // after it.
+
+  // SpatialDiversity of all angles.
+  double sd = 0.0;
+  if (r >= 2) {
+    double entropy = 0.0;
+    double sum = 0.0;
+    auto add = [&](double gap, double term) {
+      sum += gap;
+      entropy += term;
+    };
+    const double x = insert ? geo::NormalizeAngle(extra->angle) : 0.0;
+    const size_t q =
+        insert ? static_cast<size_t>(
+                     std::upper_bound(sd_angle_.begin(), sd_angle_.end(), x) -
+                     sd_angle_.begin())
+               : old_r;
+    for (size_t k = 0; k + 1 < q; ++k) add(sd_gap_[k], sd_term_[k]);
+    if (insert && q > 0) {
+      double gap = x - sd_angle_[q - 1];
+      add(gap, EntropyTerm(gap / kTwoPi));
+    }
+    if (insert && q < old_r) {
+      double gap = sd_angle_[q] - x;
+      add(gap, EntropyTerm(gap / kTwoPi));
+    }
+    for (size_t k = q; k + 1 < old_r; ++k) add(sd_gap_[k], sd_term_[k]);
+    entropy += EntropyTerm((kTwoPi - sum) / kTwoPi);
+    sd = entropy;
+  }
+
+  // TemporalDiversity of all arrivals.
+  double td = 0.0;
+  {
+    const double duration = task.end - task.start;
+    if (!insert) {
+      for (double term : td_term_) td += term;
+    } else {
+      const double x = std::clamp(extra->arrival, task.start, task.end);
+      const size_t q = static_cast<size_t>(
+          std::upper_bound(arrival_.begin(), arrival_.end(), x) -
+          arrival_.begin());
+      for (size_t k = 0; k < q; ++k) td += td_term_[k];
+      const double prev = q == 0 ? task.start : arrival_[q - 1];
+      td += EntropyTerm((x - prev) / duration);
+      const double next = q == old_r ? task.end : arrival_[q];
+      td += EntropyTerm((next - x) / duration);
+      for (size_t k = q + 1; k <= old_r; ++k) td += td_term_[k];
+    }
+  }
+  bounds.ub = task.beta * sd + (1.0 - task.beta) * td;
+
+  // P(at least one present) and P(exactly one present); only the suffix
+  // products start at the appended element, so this stays an O(r) loop.
+  double none = absent_prefix_[old_r];
+  double exactly_one = 0.0;
+  double suffix = 1.0;
+  if (insert) {
+    double p = ClampConfidence(extra->confidence);
+    none *= 1.0 - p;
+    exactly_one += p * absent_prefix_[old_r] * suffix;
+    suffix *= 1.0 - p;
+  }
+  for (size_t i = old_r; i-- > 0;) {
+    exactly_one += present_first_[i] * suffix;
+    suffix *= absent_[i];
+  }
+  double p_ge1 = 1.0 - none;
+  double p_ge2 = std::max(0.0, p_ge1 - exactly_one);
+
+  // Narrowest CCW gap of the ring in raw-angle order (SortByAngle).
+  double min_sd = 0.0;
+  if (r >= 2) {
+    double sum = 0.0;
+    double min_gap = kTwoPi;
+    auto visit = [&](double gap) {
+      sum += gap;
+      min_gap = std::min(min_gap, gap);
+    };
+    const double x = insert ? geo::NormalizeAngle(extra->angle) : 0.0;
+    const size_t q =
+        insert ? static_cast<size_t>(std::upper_bound(ring_raw_.begin(),
+                                                      ring_raw_.end(),
+                                                      extra->angle) -
+                                     ring_raw_.begin())
+               : old_r;
+    for (size_t k = 0; k + 1 < q; ++k) visit(ring_gap_[k]);
+    if (insert && q > 0) visit(geo::CcwDelta(ring_angle_[q - 1], x));
+    if (insert && q < old_r) visit(geo::CcwDelta(x, ring_angle_[q]));
+    for (size_t k = q; k + 1 < old_r; ++k) visit(ring_gap_[k]);
+    min_gap = std::min(min_gap, kTwoPi - sum);
+    min_sd = TwoWayEntropy(min_gap / kTwoPi);
+  }
+
+  double min_td = min_td_;
+  if (insert) {
+    double a = (std::clamp(extra->arrival, task.start, task.end) -
+                task.start) /
+               task.Duration();
+    min_td = std::min(min_td, TwoWayEntropy(a));
   }
 
   bounds.lb = task.beta * p_ge2 * min_sd + (1.0 - task.beta) * p_ge1 * min_td;

@@ -64,6 +64,48 @@ struct DiversityBounds {
 DiversityBounds ExpectedStdBounds(const Task& task,
                                   const std::vector<Observation>& obs);
 
+/// The per-task sorted sequences behind ExpectedStdBounds, kept so that
+/// the bounds of "these observations plus one more" cost one O(r) merge
+/// walk with three entropy terms instead of two sorts, O(r) logarithms and
+/// eight allocations. Bounds() replays ExpectedStdBounds' floating-point
+/// sequence (same sorted sequences, summation order, left-to-right
+/// products and minimum), so it is bit-identical to ExpectedStdBounds(task,
+/// obs) and ExpectedStdBounds(task, obs + extra).
+class StdBoundsView {
+ public:
+  /// Rebuilds the view from `obs`, reusing the buffers' capacity.
+  void Build(const Task& task, const std::vector<Observation>& obs);
+
+  /// Bounds of the built observations, with `*extra` appended last when
+  /// given. `task` must be the task the view was built for.
+  DiversityBounds Bounds(const Task& task,
+                         const Observation* extra = nullptr) const;
+
+ private:
+  // Normalized angles sorted by value (SpatialDiversity), the gaps between
+  // neighbours and each gap's entropy term.
+  std::vector<double> sd_angle_;
+  std::vector<double> sd_gap_;
+  std::vector<double> sd_term_;
+  // Raw angles sorted, their normalized values in that order and the CCW
+  // gaps between neighbours (the narrowest-gap ring of SortByAngle).
+  std::vector<double> ring_raw_;
+  std::vector<double> ring_angle_;
+  std::vector<double> ring_gap_;
+  // Arrivals clamped into the valid period and sorted, and the entropy
+  // term of each of the r + 1 sub-intervals they cut the period into.
+  std::vector<double> arrival_;
+  std::vector<double> td_term_;
+  // In observation order: absent_prefix_[i] = prod of (1 - p) over
+  // obs[0..i), present_first_[i] = p_i * absent_prefix_[i], absent_[i] =
+  // 1 - p_i (p clamped by ClampConfidence).
+  std::vector<double> absent_prefix_;
+  std::vector<double> present_first_;
+  std::vector<double> absent_;
+  // Running minimum of the single-arrival temporal diversity.
+  double min_td_ = 0.0;
+};
+
 }  // namespace rdbsc::core
 
 #endif  // RDBSC_CORE_DIVERSITY_H_

@@ -75,6 +75,13 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
     }
   }
 
+  // Reliability weight -ln(1 - p) of each worker, fixed for the solve.
+  std::vector<double> weight(static_cast<size_t>(instance.num_workers()));
+  for (WorkerId j = 0; j < instance.num_workers(); ++j) {
+    weight[static_cast<size_t>(j)] =
+        util::ReliabilityWeight(instance.worker(j).confidence);
+  }
+
   std::vector<int64_t> task_version(instance.num_tasks(), 0);
   // Cached E[STD] bounds of each task's current roster.
   std::vector<DiversityBounds> task_bounds(instance.num_tasks());
@@ -84,7 +91,14 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
   alive.reserve(pairs.size());
   for (size_t c = 0; c < pairs.size(); ++c) alive.push_back(c);
 
+  // Per-step buffers, reused across steps.
+  struct DmrKey {
+    double dmr;
+    size_t cand;
+  };
+  std::vector<DmrKey> order;
   std::vector<size_t> survivors;
+  std::vector<BiPoint> increase_pairs;
 
   while (!alive.empty()) {
     if (deadline.Exhausted()) {
@@ -111,11 +125,10 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
         cand.cached_version = task_version[i];
         cand.has_exact = false;
       }
-      double wt = util::ReliabilityWeight(instance.worker(cand.worker)
-                                              .confidence);
       double excl = (i == mp.arg1) ? mp.min2 : mp.min1;
       double new_min =
-          std::min(excl, state.TaskReducedReliability(i) + wt);
+          std::min(excl, state.TaskReducedReliability(i) +
+                             weight[static_cast<size_t>(cand.worker)]);
       cand.dmr = std::max(0.0, new_min - mp.min1);
     }
 
@@ -124,36 +137,40 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
     // exceeding this pair's diversity upper bound.
     survivors.clear();
     if (options_.use_pruning && alive.size() > 1) {
-      std::vector<size_t> order(alive);
-      std::sort(order.begin(), order.end(), [&pairs](size_t a, size_t b) {
-        return pairs[a].dmr > pairs[b].dmr;
-      });
-      // prefix_max_lb[k] = max lb_dd among order[0..k] (dmr >= order[k]'s).
+      // Sorting the keys in alive order with the comparator of an index
+      // sort over `alive` yields the same permutation, so ties within a
+      // dmr group keep the order TopDominating breaks them by.
+      order.clear();
+      for (size_t c : alive) order.push_back(DmrKey{pairs[c].dmr, c});
+      std::sort(order.begin(), order.end(),
+                [](const DmrKey& a, const DmrKey& b) { return a.dmr > b.dmr; });
+      // running_max_lb = max lb_dd over the groups of larger dmr.
       double running_max_lb = -std::numeric_limits<double>::infinity();
       size_t g = 0;
       while (g < order.size()) {
         size_t h = g;
         double group_max_lb = -std::numeric_limits<double>::infinity();
-        while (h < order.size() &&
-               pairs[order[h]].dmr == pairs[order[g]].dmr) {
-          group_max_lb = std::max(group_max_lb, pairs[order[h]].lb_dd);
+        while (h < order.size() && order[h].dmr == order[g].dmr) {
+          group_max_lb = std::max(group_max_lb, pairs[order[h].cand].lb_dd);
           ++h;
         }
         double max_lb = std::max(running_max_lb, group_max_lb);
         for (size_t k = g; k < h; ++k) {
-          if (max_lb > pairs[order[k]].ub_dd) {
+          if (max_lb > pairs[order[k].cand].ub_dd) {
             ++result.stats.pruned_pairs;
           } else {
-            survivors.push_back(order[k]);
+            survivors.push_back(order[k].cand);
           }
         }
         running_max_lb = max_lb;
         g = h;
       }
     } else {
-      survivors = alive;
+      survivors.assign(alive.begin(), alive.end());
     }
-    if (survivors.empty()) survivors = alive;  // never prune everything
+    if (survivors.empty()) {  // never prune everything
+      survivors.assign(alive.begin(), alive.end());
+    }
 
     // Diversity increase for the survivors (lines 4-5 of Fig. 3): exact,
     // or the Section 4.3 optimistic bound estimate.
@@ -174,10 +191,9 @@ util::StatusOr<SolveResult> GreedySolver::SolveImpl(
 
     // Skyline filter and dominance-count ranking of the (dmr, dstd)
     // increase pairs (lines 6-8), via the shared dominance utilities.
-    std::vector<BiPoint> increase_pairs(survivors.size());
-    for (size_t k = 0; k < survivors.size(); ++k) {
-      increase_pairs[k] = {pairs[survivors[k]].dmr,
-                           pairs[survivors[k]].exact_dd};
+    increase_pairs.clear();
+    for (size_t c : survivors) {
+      increase_pairs.push_back({pairs[c].dmr, pairs[c].exact_dd});
     }
     size_t best_local = TopDominating(increase_pairs);
 

@@ -34,21 +34,45 @@ struct Site {
   double required_angle = 0.0;  ///< desired shooting direction
   std::vector<core::Observation> contributions;
   int pending = 0;  ///< workers en route
+  /// Bumped when an arrival is delivered here or a worker is assigned
+  /// here: the only events that change the site's observations.
+  int64_t version = 0;
 };
 
-core::ObjectiveValue ComputeObjectives(const std::vector<Site>& sites) {
+// One site's share of the round objectives over its observations (the
+// contributions, then the en-route workers in worker-id order), valid
+// while the site's version equals `version`.
+struct SiteObjective {
+  int64_t version = -1;
+  bool empty = true;
+  double reduced = 0.0;       ///< R = sum of reliability weights
+  double expected_std = 0.0;  ///< E[STD]
+};
+
+// Caches a site's objective over its observations `site_obs`.
+void RefreshSiteObjective(const Site& site,
+                          const std::vector<core::Observation>& site_obs,
+                          SiteObjective* cached) {
+  cached->version = site.version;
+  cached->empty = site_obs.empty();
+  cached->reduced = 0.0;
+  for (const core::Observation& obs : site_obs) {
+    cached->reduced += util::ReliabilityWeight(obs.confidence);
+  }
+  cached->expected_std =
+      cached->empty ? 0.0 : core::ExpectedStd(site.task, site_obs);
+}
+
+// Min reliability and total E[STD] over the non-empty sites, in site order.
+core::ObjectiveValue SumObjectives(const std::vector<SiteObjective>& cache) {
   core::ObjectiveValue value;
   double min_r = std::numeric_limits<double>::infinity();
   bool any = false;
-  for (const Site& site : sites) {
-    if (site.contributions.empty()) continue;
+  for (const SiteObjective& site : cache) {
+    if (site.empty) continue;
     any = true;
-    double r = 0.0;
-    for (const core::Observation& obs : site.contributions) {
-      r += util::ReliabilityWeight(obs.confidence);
-    }
-    min_r = std::min(min_r, r);
-    value.total_std += core::ExpectedStd(site.task, site.contributions);
+    min_r = std::min(min_r, site.reduced);
+    value.total_std += site.expected_std;
   }
   value.min_reliability = any ? util::ReducedToProbability(min_r) : 0.0;
   return value;
@@ -160,6 +184,7 @@ util::StatusOr<PlatformResult> Platform::Run() {
       mw.traveling = false;
       mw.profile.location = site.task.location;
       --site.pending;
+      ++site.version;
       // The worker succeeds with its confidence; otherwise the task request
       // was rejected / answered wrongly and yields nothing.
       if (rng.Bernoulli(mw.profile.confidence)) {
@@ -195,6 +220,36 @@ util::StatusOr<PlatformResult> Platform::Run() {
       }
       mw.target = core::kNoTask;
     }
+  };
+
+  // Objectives of the realized answers plus the en-route workers. Only
+  // sites whose version moved since the last call are recomputed; an
+  // en-route worker's observation is fixed from assignment to delivery.
+  std::vector<SiteObjective> site_objectives(sites.size());
+  std::vector<std::vector<core::Observation>> site_obs(sites.size());
+  auto objectives = [&]() {
+    auto stale = [&](size_t s) {
+      return site_objectives[s].version != sites[s].version;
+    };
+    for (size_t s = 0; s < sites.size(); ++s) {
+      if (stale(s)) site_obs[s] = sites[s].contributions;
+    }
+    for (const MobileWorker& mw : workers) {
+      if (!mw.traveling) continue;
+      const size_t s = static_cast<size_t>(mw.target);
+      if (!stale(s)) continue;
+      const core::Task& task = sites[s].task;
+      site_obs[s].push_back(core::Observation{
+          .angle = geo::Bearing(task.location, mw.profile.location),
+          .arrival = std::clamp(mw.arrival_time, task.start, task.end),
+          .confidence = mw.profile.confidence});
+    }
+    for (size_t s = 0; s < sites.size(); ++s) {
+      if (stale(s)) {
+        RefreshSiteObjective(sites[s], site_obs[s], &site_objectives[s]);
+      }
+    }
+    return SumObjectives(site_objectives);
   };
 
   // --- Incremental updating loop (Figure 10). ---
@@ -269,6 +324,7 @@ util::StatusOr<PlatformResult> Platform::Run() {
           core::ArrivalTime(mw.profile, site.task, t,
                             core::ArrivalPolicy::kStrict);
       ++site.pending;
+      ++site.version;
       ++record.newly_assigned;
       ++result.assignments_made;
       if (m_assignments != nullptr) m_assignments->Increment();
@@ -276,28 +332,16 @@ util::StatusOr<PlatformResult> Platform::Run() {
       // Pending assignments contribute with the worker's confidence
       // (removed again if the answer never materializes -- modeled by
       // keeping only realized answers in `contributions`; the round
-      // objectives add pending observations on the fly below).
+      // objectives add pending observations on the fly).
     }
 
-    // Round objectives: realized answers plus en-route workers.
-    std::vector<Site> preview = sites;
-    for (core::WorkerId j = 0; j < config_.num_workers; ++j) {
-      const MobileWorker& mw = workers[j];
-      if (!mw.traveling) continue;
-      Site& site = preview[mw.target];
-      site.contributions.push_back(core::Observation{
-          .angle = geo::Bearing(site.task.location, mw.profile.location),
-          .arrival = std::clamp(mw.arrival_time, site.task.start,
-                                site.task.end),
-          .confidence = mw.profile.confidence});
-    }
-    record.objectives = ComputeObjectives(preview);
+    record.objectives = objectives();
     result.rounds.push_back(record);
   }
 
   deliver_arrivals(config_.horizon + 10.0);  // flush everyone still en route
   if (m_answers != nullptr) m_answers->Increment(result.answers_received);
-  result.final_objectives = ComputeObjectives(sites);
+  result.final_objectives = objectives();  // nobody is en route any more
   result.mean_accuracy_error =
       result.answers_received > 0
           ? accuracy_error_sum / result.answers_received

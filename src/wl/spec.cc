@@ -4,8 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 
 namespace rdbsc::wl {
@@ -667,39 +670,60 @@ util::StatusOr<WorkloadSpec> ParseWorkloadFile(const std::string& path) {
   return ParseWorkloadText(text.value(), path, loader);
 }
 
+namespace {
+
+// Appends the words of one spec line, space-separated, and a newline.
+// Successive appends rather than operator+ chains: GCC 12 reports a false
+// -Wrestrict overlap on `const char* + std::string&&` in Release builds.
+void AppendLine(std::string& out,
+                std::initializer_list<std::string_view> words) {
+  bool first = true;
+  for (std::string_view word : words) {
+    if (!first) out += ' ';
+    out += word;
+    first = false;
+  }
+  out += '\n';
+}
+
+}  // namespace
+
 std::string DumpSpec(const WorkloadSpec& spec) {
   std::string out;
-  out += "workload " + spec.name + "\n";
-  out += "seed " + std::to_string(spec.seed) + "\n";
-  out += "solver " + spec.solver + "\n";
-  out += "policy " + std::string(PolicyKeyword(spec.policy)) + "\n";
-  out += "queue_depth " + std::to_string(spec.queue_depth) + "\n";
-  out += "cache " + std::string(CacheModeKeyword(spec.cache_mode)) + "\n";
-  out += "cache_entries " + std::to_string(spec.cache_result_entries) + " " +
-         std::to_string(spec.cache_graph_entries) + "\n";
+  AppendLine(out, {"workload", spec.name});
+  AppendLine(out, {"seed", std::to_string(spec.seed)});
+  AppendLine(out, {"solver", spec.solver});
+  AppendLine(out, {"policy", PolicyKeyword(spec.policy)});
+  AppendLine(out, {"queue_depth", std::to_string(spec.queue_depth)});
+  AppendLine(out, {"cache", CacheModeKeyword(spec.cache_mode)});
+  AppendLine(out, {"cache_entries", std::to_string(spec.cache_result_entries),
+                   std::to_string(spec.cache_graph_entries)});
   for (const PhaseSpec& phase : spec.phases) {
-    out += "\nphase " + phase.name + " {\n";
-    out += "  mode " + std::string(PhaseModeName(phase.mode)) + "\n";
-    out += "  submitters " + std::to_string(phase.submitters) + "\n";
-    out += "  iterations " + std::to_string(phase.iterations) + "\n";
-    out += "  duration " + FormatDouble(phase.duration_seconds) + "\n";
-    out += "  rate " + FormatDouble(phase.rate_per_second) + "\n";
-    out += "  arrival " + std::string(ArrivalName(phase.arrival)) + "\n";
-    out += "  tasks " + std::to_string(phase.tasks_min) + " " +
-           std::to_string(phase.tasks_max) + "\n";
-    out += "  workers " + std::to_string(phase.workers_min) + " " +
-           std::to_string(phase.workers_max) + "\n";
-    out += "  priority " + std::to_string(phase.priority_min) + " " +
-           std::to_string(phase.priority_max) + "\n";
-    out += "  seed_pool " + std::to_string(phase.seed_pool) + "\n";
-    out += std::string("  dist ") + (phase.skewed ? "skewed" : "uniform") +
-           "\n";
-    out += "  cache " + std::string(CacheModeKeyword(phase.cache)) + "\n";
-    out += std::string("  restart ") + (phase.restart ? "on" : "off") + "\n";
+    out += "\nphase ";
+    out += phase.name;
+    out += " {\n";
+    AppendLine(out, {"  mode", PhaseModeName(phase.mode)});
+    AppendLine(out, {"  submitters", std::to_string(phase.submitters)});
+    AppendLine(out, {"  iterations", std::to_string(phase.iterations)});
+    AppendLine(out, {"  duration", FormatDouble(phase.duration_seconds)});
+    AppendLine(out, {"  rate", FormatDouble(phase.rate_per_second)});
+    AppendLine(out, {"  arrival", ArrivalName(phase.arrival)});
+    AppendLine(out, {"  tasks", std::to_string(phase.tasks_min),
+                     std::to_string(phase.tasks_max)});
+    AppendLine(out, {"  workers", std::to_string(phase.workers_min),
+                     std::to_string(phase.workers_max)});
+    AppendLine(out, {"  priority", std::to_string(phase.priority_min),
+                     std::to_string(phase.priority_max)});
+    AppendLine(out, {"  seed_pool", std::to_string(phase.seed_pool)});
+    AppendLine(out, {"  dist", phase.skewed ? "skewed" : "uniform"});
+    AppendLine(out, {"  cache", CacheModeKeyword(phase.cache)});
+    AppendLine(out, {"  restart", phase.restart ? "on" : "off"});
     out += "  mix";
     for (const MixEntry& entry : phase.mix) {
-      out += " " + std::string(OpKindName(entry.op)) + " " +
-             std::to_string(entry.weight);
+      out += ' ';
+      out += OpKindName(entry.op);
+      out += ' ';
+      out += std::to_string(entry.weight);
     }
     out += "\n}\n";
   }

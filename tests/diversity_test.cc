@@ -1,12 +1,16 @@
 #include "core/diversity.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
 #include "geo/angle.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace rdbsc::core {
@@ -229,6 +233,108 @@ TEST_P(MonotonicityTest, AddingWorkerNeverDecreasesExpectedStd) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MonotonicityTest,
                          ::testing::Values(21, 22, 23, 24));
+
+// ---------- Row cut-off of the M_SD / M_TD sums ----------
+
+// ExpectedSpatialDiversity / ExpectedTemporalDiversity summing every term
+// of every row: the reference for the early row exit.
+double FullSpatialSum(const std::vector<Observation>& obs) {
+  const size_t r = obs.size();
+  if (r < 2) return 0.0;
+  std::vector<size_t> order(r);
+  for (size_t i = 0; i < r; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
+    return obs[a].angle < obs[b].angle;
+  });
+  std::vector<double> angle, conf, gap(r);
+  for (size_t i : order) {
+    angle.push_back(geo::NormalizeAngle(obs[i].angle));
+    conf.push_back(util::ClampConfidence(obs[i].confidence));
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i + 1 < r; ++i) {
+    gap[i] = geo::CcwDelta(angle[i], angle[i + 1]);
+    sum += gap[i];
+  }
+  gap[r - 1] = geo::kTwoPi - sum;
+  double expected = 0.0;
+  for (size_t j = 0; j < r; ++j) {
+    double between_absent = 1.0;
+    double swept = 0.0;
+    for (size_t step = 1; step < r; ++step) {
+      size_t k = (j + step) % r;
+      swept += gap[(j + step - 1) % r];
+      expected += util::EntropyTerm(swept / geo::kTwoPi) * conf[j] *
+                  conf[k] * between_absent;
+      between_absent *= 1.0 - conf[k];
+    }
+  }
+  return expected;
+}
+
+double FullTemporalSum(const std::vector<Observation>& obs, double start,
+                       double end) {
+  if (obs.empty()) return 0.0;
+  std::vector<size_t> order(obs.size());
+  for (size_t i = 0; i < obs.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
+    return obs[a].arrival < obs[b].arrival;
+  });
+  std::vector<double> time = {start}, conf = {1.0};
+  for (size_t i : order) {
+    time.push_back(std::clamp(obs[i].arrival, start, end));
+    conf.push_back(util::ClampConfidence(obs[i].confidence));
+  }
+  time.push_back(end);
+  conf.push_back(1.0);
+  double expected = 0.0;
+  for (size_t a = 0; a + 1 < time.size(); ++a) {
+    double between_absent = 1.0;
+    for (size_t k = a + 1; k < time.size(); ++k) {
+      expected += util::EntropyTerm((time[k] - time[a]) / (end - start)) *
+                  conf[a] * conf[k] * between_absent;
+      between_absent *= 1.0 - conf[k];
+    }
+  }
+  return expected;
+}
+
+// Near-certain workers (and the platform's confidence-1 answers) make most
+// rows end early; the result must keep every bit of the full sum.
+TEST(ExpectedDiversityTest, RowCutoffKeepsEveryBit) {
+  util::Rng rng(515);
+  for (int trial = 0; trial < 300; ++trial) {
+    const double start = rng.Uniform(0.0, 2.0);
+    const double end = start + rng.Uniform(0.1, 3.0);
+    const int r = static_cast<int>(rng.UniformInt(0, 70));
+    const double p_lo = trial % 3 == 0 ? 0.0 : 0.8;
+    // One period window per list (see SortByAngle: raw order must agree
+    // with normalized order for the gaps to sum to 2pi).
+    const double window = geo::kTwoPi * static_cast<double>(trial % 3 - 1);
+    std::vector<Observation> obs;
+    for (int i = 0; i < r; ++i) {
+      const double pick = rng.Uniform(0.0, 1.0);
+      const double confidence = pick < 0.4   ? 1.0
+                                : pick < 0.5 ? 0.0
+                                             : rng.Uniform(p_lo, 1.0);
+      Observation o = Obs(window + rng.Uniform(0.0, geo::kTwoPi),
+                          rng.Uniform(start - 0.5, end + 0.5), confidence);
+      if (i > 0 && pick > 0.9) {  // tie an earlier angle and arrival
+        o.angle = obs[static_cast<size_t>(i - 1)].angle;
+        o.arrival = obs[static_cast<size_t>(i - 1)].arrival;
+      }
+      obs.push_back(o);
+    }
+    const double sd = ExpectedSpatialDiversity(obs);
+    const double td = ExpectedTemporalDiversity(obs, start, end);
+    EXPECT_EQ(std::bit_cast<uint64_t>(sd),
+              std::bit_cast<uint64_t>(FullSpatialSum(obs)))
+        << "trial " << trial << " r " << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(td),
+              std::bit_cast<uint64_t>(FullTemporalSum(obs, start, end)))
+        << "trial " << trial << " r " << r;
+  }
+}
 
 // ---------- Bounds (Section 4.3) ----------
 

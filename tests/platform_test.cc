@@ -1,6 +1,11 @@
 #include "sim/platform.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <utility>
+#include <vector>
 
 #include "core/registry.h"
 #include "geo/angle.h"
@@ -96,6 +101,103 @@ TEST(PlatformTest, RunsEndToEndWithEachRegisteredSolver) {
     ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
     EXPECT_GT(run.value().assignments_made, 0) << name;
     EXPECT_GE(run.value().final_objectives.total_std, 0.0) << name;
+  }
+}
+
+// Round and final objectives of campus-sized greedy sessions, as recorded
+// by the platform before it cached per-site objectives (every site's
+// E[STD] recomputed from a deep copy each round). The cache must
+// reproduce them bit for bit.
+struct GoldenSession {
+  uint64_t seed;
+  std::vector<std::pair<double, double>> rounds;
+  std::pair<double, double> final_objectives;
+};
+
+const std::vector<GoldenSession>& GoldenSessions() {
+  static const std::vector<GoldenSession> sessions = {
+      {101,
+       {{0x1p+0, 0x1.51631bf418bf2p+1},
+        {0x1.be54771f2015fp-1, 0x1.875e669170622p+1},
+        {0x1.ac6ce88a7138bp-1, 0x1.881a568a59e7bp+2},
+        {0x1.ad29e5336af76p-1, 0x1.d2f12de969804p+2},
+        {0x1.fffffffffdcd1p-1, 0x1.e190acee70683p+2},
+        {0x1.cf2bca77fc54bp-1, 0x1.67cc18ded30fbp+3},
+        {0x1.faea7d3ead9f5p-1, 0x1.099922c645169p+4},
+        {0x1.ffffffffffbafp-1, 0x1.1a4f40c21cf69p+4},
+        {0x1p+0, 0x1.2a4500f56cd06p+4},
+        {0x1p+0, 0x1.2ee0f3d9a9872p+4},
+        {0x1.a17715297452cp-1, 0x1.941183399e145p+4},
+        {0x1.ab3b46db2158ep-1, 0x1.a161084db24b9p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.acc4d5bb890cep+4},
+        {0x1.d80bea6452cbp-1, 0x1.d171ba50b9d2ap+4},
+        {0x1.fffffffffdcd1p-1, 0x1.d060afe13228ap+4},
+        {0x1.fffffffffdcd1p-1, 0x1.e5bc4088c767bp+4}},
+       {0x1.fffffffffdcd1p-1, 0x1.e7c641c2c2819p+4}},
+      {202,
+       {{0x1p+0, 0x1.6ba433e501b58p+1},
+        {0x1.9cd21cd10e83dp-1, 0x1.24757d9c2cf35p+2},
+        {0x1.d5056726a4c46p-1, 0x1.6e072a65faa5ep+2},
+        {0x1.f8a16e9440a3ap-1, 0x1.acd0f66c40ebcp+2},
+        {0x1.d9f4d651fcaeep-1, 0x1.cc976b11da8e3p+2},
+        {0x1.fffffffffdcd1p-1, 0x1.e07243ac96a3ep+2},
+        {0x1.9cd21cd10e83dp-1, 0x1.1649196a27a84p+4},
+        {0x1.9cd21cd10e83dp-1, 0x1.1979dad19074cp+4},
+        {0x1.fffffffffdcd1p-1, 0x1.306bbff3491dbp+4},
+        {0x1.fffffffffdcd1p-1, 0x1.329f8783d1f1p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.36b645ba0ed5ap+4},
+        {0x1.fffffffffdcd1p-1, 0x1.3e51930e541f5p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.3f199580c0ddfp+4},
+        {0x1.fffffffffdcd1p-1, 0x1.45149cee714b4p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.4bbe09c0cb08ep+4},
+        {0x1.fffffffffdcd1p-1, 0x1.511ca471f358cp+4}},
+       {0x1.fffffffffdcd1p-1, 0x1.526be7151005bp+4}},
+      {303,
+       {{0x1p+0, 0x1.55221aeacf704p+1},
+        {0x1.bdd44f35209b1p-1, 0x1.aa841b5d61838p+1},
+        {0x1.aa885cb2ac13dp-1, 0x1.25e8c28c9ea74p+2},
+        {0x1.aa885cb2ac13dp-1, 0x1.5e20e0feb0728p+2},
+        {0x1.fffffffffdcd1p-1, 0x1.835d865bedfa1p+2},
+        {0x1.a91de2c9e899fp-1, 0x1.e2df217cd9b8ep+3},
+        {0x1.a91de2c9e899fp-1, 0x1.03ed65f8ce25ep+4},
+        {0x1.a91de2c9e899fp-1, 0x1.1853095249d7fp+4},
+        {0x1.fffffffffdcd1p-1, 0x1.2079fb28f4755p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.587e15f2b91cep+4},
+        {0x1.fffffffffdcd1p-1, 0x1.6263e2701b989p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.69f83bc84144bp+4},
+        {0x1.fffffffffdcd1p-1, 0x1.7236eeacb1b93p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.749422c931bffp+4},
+        {0x1.cbb71c007f1d9p-1, 0x1.8233dc9c70eb3p+4},
+        {0x1.fffffffffdcd1p-1, 0x1.9dc044c2ab33p+4}},
+       {0x1.fffffffffdcd1p-1, 0x1.9ba4452b04a9p+4}},
+  };
+  return sessions;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(PlatformTest, RoundObjectivesBitIdentical) {
+  for (const GoldenSession& golden : GoldenSessions()) {
+    PlatformConfig config = SmallPlatform(golden.seed);
+    config.num_sites = 30;
+    config.num_workers = 60;
+    PlatformResult result = Platform(config).Run().value();
+    ASSERT_EQ(result.rounds.size(), golden.rounds.size()) << golden.seed;
+    for (size_t r = 0; r < golden.rounds.size(); ++r) {
+      const core::ObjectiveValue& got = result.rounds[r].objectives;
+      EXPECT_EQ(Bits(got.min_reliability), Bits(golden.rounds[r].first))
+          << "seed " << golden.seed << " round " << r << ": " << std::hexfloat
+          << got.min_reliability;
+      EXPECT_EQ(Bits(got.total_std), Bits(golden.rounds[r].second))
+          << "seed " << golden.seed << " round " << r << ": " << std::hexfloat
+          << got.total_std;
+    }
+    EXPECT_EQ(Bits(result.final_objectives.min_reliability),
+              Bits(golden.final_objectives.first))
+        << golden.seed;
+    EXPECT_EQ(Bits(result.final_objectives.total_std),
+              Bits(golden.final_objectives.second))
+        << golden.seed;
   }
 }
 
