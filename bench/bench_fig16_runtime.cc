@@ -3,7 +3,6 @@
 // SAMPLING stays nearly flat thanks to the small (epsilon, delta)-bounded
 // sample size.
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -32,18 +31,11 @@ void RunAxis(const char* axis, const std::vector<SweepPoint>& points,
       // document carries per-solver stage histograms next to the table.
       std::vector<Engine> engines =
           MakeEngines(seed, options.num_threads, &report.metrics());
-      auto t0 = std::chrono::steady_clock::now();
-      core::CandidateGraph graph =
-          engines.front().BuildGraph(instance).value();
-      build_seconds += std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-      for (size_t s = 0; s < engines.size(); ++s) {
-        t0 = std::chrono::steady_clock::now();
-        engines[s].SolveOn(instance, graph).value();
-        row[s] += std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+      const std::vector<EngineResult> runs =
+          RunOnSharedGraph(engines, instance);
+      build_seconds += runs.front().plan.build_seconds;
+      for (size_t s = 0; s < runs.size(); ++s) {
+        row[s] += runs[s].solve.stats.wall_seconds;
       }
     }
     for (double& v : row) v /= options.num_seeds;

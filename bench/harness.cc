@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
 
+#include "engine/solve_cache.h"
 #include "obs/json.h"
 
 namespace rdbsc::bench {
@@ -86,12 +86,27 @@ std::vector<Engine> MakeEngines(uint64_t seed, int num_threads,
     config.solver_options.seed = seed;
     config.num_threads = num_threads;
     config.metrics = metrics;
-    // Benches time SolveOn tightly; generated instances are valid by
-    // construction, so skip the O(m+n) re-validation per approach.
+    // Generated instances are valid by construction, so skip the O(m+n)
+    // re-validation per approach.
     config.validate_instances = false;
     engines.push_back(Engine::Create(std::move(config)).value());
   }
   return engines;
+}
+
+std::vector<EngineResult> RunOnSharedGraph(const std::vector<Engine>& engines,
+                                           const core::Instance& instance) {
+  engine::SolveCacheConfig cache_config;
+  cache_config.result_capacity = 0;
+  engine::SolveCache cache(cache_config);
+  RunControls controls;
+  controls.cache = &cache;
+  std::vector<EngineResult> results;
+  results.reserve(engines.size());
+  for (const Engine& engine : engines) {
+    results.push_back(engine.Run(instance, controls).value());
+  }
+  return results;
 }
 
 void PrintTable(const std::string& metric, const std::string& x_label,
@@ -249,19 +264,13 @@ std::vector<std::vector<PointResult>> RunQualitySweep(
           MakeEngines(seed, options.num_threads,
                       report != nullptr ? &report->metrics() : nullptr);
       // One graph per instance, shared by all four approaches.
-      core::CandidateGraph graph =
-          engines.front().BuildGraph(instance).value();
+      const std::vector<EngineResult> runs =
+          RunOnSharedGraph(engines, instance);
       for (size_t s = 0; s < num_solvers; ++s) {
-        auto t0 = std::chrono::steady_clock::now();
-        core::SolveResult solve =
-            engines[s].SolveOn(instance, graph).value();
-        double elapsed =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count();
+        const core::SolveResult& solve = runs[s].solve;
         results[p][s].min_reliability += solve.objectives.min_reliability;
         results[p][s].total_std += solve.objectives.total_std;
-        results[p][s].wall_seconds += elapsed;
+        results[p][s].wall_seconds += solve.stats.wall_seconds;
       }
     }
     for (size_t s = 0; s < num_solvers; ++s) {

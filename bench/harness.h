@@ -56,13 +56,22 @@ int EffectiveThreads(const BenchOptions& options);
 const std::vector<std::string>& ApproachNames();
 
 /// One engine per Section 8.1 approach, wired through the solver registry
-/// with `seed`. Engines also build candidate graphs (Engine::BuildGraph),
-/// so benches never touch graph construction directly. `num_threads > 1`
+/// with `seed`. Engines also build candidate graphs (Engine::Run), so
+/// benches never touch graph construction directly. `num_threads > 1`
 /// gives every engine its own pool of that size. `metrics`, when
 /// non-null, is attached to every engine (EngineConfig::metrics), so the
 /// run's engine.stage_seconds breakdown accumulates there per solver.
 std::vector<Engine> MakeEngines(uint64_t seed, int num_threads = 0,
                                 obs::Registry* metrics = nullptr);
+
+/// Runs every engine on `instance`, in order, through one SolveCache whose
+/// result tier is disabled: the first run builds the candidate graph and
+/// the others fetch it from the graph tier, which is keyed on the
+/// instance and the build decision, not on the solver. The first result's
+/// plan.build_seconds is the build; each solve.stats.wall_seconds is that
+/// approach's solve alone.
+std::vector<EngineResult> RunOnSharedGraph(const std::vector<Engine>& engines,
+                                           const core::Instance& instance);
 
 /// One x-axis point of a figure sweep: a label plus an instance factory.
 struct SweepPoint {

@@ -14,6 +14,7 @@
 
 #include "core/diversity.h"
 #include "engine/engine.h"
+#include "engine/solve_cache.h"
 #include "util/rng.h"
 
 using namespace rdbsc;
@@ -77,19 +78,21 @@ int main() {
 
   core::Instance instance({statue, fireworks}, std::move(workers));
 
-  // One engine per approach; the facade handles graph construction.
-  std::vector<Engine> engines;
-  for (const char* name : {"greedy", "sampling", "dc"}) {
-    engines.push_back(
-        Engine::Create(name).value());
-  }
-
-  core::CandidateGraph graph = engines.front().BuildGraph(instance).value();
   std::printf("landmark task: %d candidate photographers\n\n",
-              static_cast<int>(graph.WorkersOf(0).size()));
-  for (Engine& engine : engines) {
-    core::SolveResult result =
-        engine.SolveOn(instance, graph).value();
+              static_cast<int>(
+                  core::CandidateGraph::Build(instance).WorkersOf(0).size()));
+
+  // One engine per approach; the facade handles graph construction. A
+  // shared cache with its result tier off builds the candidate graph once:
+  // its graph tier is keyed on the instance, not on the solver.
+  engine::SolveCacheConfig cache_config;
+  cache_config.result_capacity = 0;
+  engine::SolveCache cache(cache_config);
+  RunControls controls;
+  controls.cache = &cache;
+  for (const char* name : {"greedy", "sampling", "dc"}) {
+    const Engine engine = Engine::Create(name).value();
+    core::SolveResult result = engine.Run(instance, controls).value().solve;
     std::printf("%-9s total_STD = %.3f, min reliability = %.4f\n",
                 std::string(engine.solver_display_name()).c_str(),
                 result.objectives.total_std,

@@ -249,7 +249,6 @@ int main(int argc, char** argv) {
   EngineConfig config;
   config.solver_name = solver_name;
   config.solver_options.seed = seed;
-  config.budget_seconds = budget;
   config.num_threads = num_threads;
   if (graph_mode == "brute") {
     config.graph_strategy = GraphStrategy::kBruteForce;
@@ -425,6 +424,7 @@ int main(int argc, char** argv) {
   // --- Solve and report (repetitions exercise the SolveCache). ---
   engine::SolveCache cache;
   RunControls controls;
+  controls.deadline = util::Deadline(budget);
   if (cache_mode != engine::CacheMode::kOff) {
     controls.cache = &cache;
     controls.cache_mode = cache_mode;
@@ -469,6 +469,7 @@ int main(int argc, char** argv) {
   // answer them from the cache (bit-identical to the first solve).
   for (int rep = 2; rep <= repeat; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
+    controls.deadline = util::Deadline(budget);
     util::StatusOr<EngineResult> again =
         engine.value().Run(instance, controls);
     double wall =

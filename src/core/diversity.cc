@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "geo/angle.h"
 #include "util/math.h"
@@ -44,32 +45,35 @@ struct AngularLayout {
 };
 
 AngularLayout SortByAngle(const std::vector<Observation>& obs) {
-  AngularLayout layout;
   const size_t r = obs.size();
-  std::vector<size_t> order(r);
-  for (size_t i = 0; i < r; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&obs](size_t a, size_t b) {
-    return obs[a].angle < obs[b].angle;
-  });
+  // (normalized angle, observation index), sorted by the normalized angle
+  // the gaps are measured between: raw angles from different
+  // [k*2pi, (k+1)*2pi) windows would interleave the ring.
+  std::vector<std::pair<double, size_t>> order(r);
+  for (size_t i = 0; i < r; ++i) {
+    order[i] = {geo::NormalizeAngle(obs[i].angle), i};
+  }
+  std::sort(order.begin(), order.end(),
+            [](const std::pair<double, size_t>& a,
+               const std::pair<double, size_t>& b) {
+              return a.first < b.first;
+            });
+  AngularLayout layout;
   layout.angle.reserve(r);
   layout.confidence.reserve(r);
-  for (size_t i : order) {
-    layout.angle.push_back(geo::NormalizeAngle(obs[i].angle));
+  for (const auto& [angle, i] : order) {
+    layout.angle.push_back(angle);
     layout.confidence.push_back(ClampConfidence(obs[i].confidence));
   }
+  // Consecutive gaps, then the wrap gap as the rest of the circle, so the
+  // gaps sum to 2*pi (all-equal angles give one 2*pi wrap).
   layout.gap.resize(r);
-  for (size_t i = 0; i < r; ++i) {
-    size_t next = (i + 1) % r;
-    double delta = geo::CcwDelta(layout.angle[i], layout.angle[next]);
-    // All-equal angles make every delta 0 except the wrap, which CcwDelta
-    // reports as 0 too; patch the final wrap gap so gaps sum to 2*pi.
-    layout.gap[i] = delta;
+  double sum = 0.0;
+  for (size_t i = 0; i + 1 < r; ++i) {
+    layout.gap[i] = layout.angle[i + 1] - layout.angle[i];
+    sum += layout.gap[i];
   }
-  if (r > 0) {
-    double sum = 0.0;
-    for (size_t i = 0; i + 1 < r; ++i) sum += layout.gap[i];
-    layout.gap[r - 1] = kTwoPi - sum;
-  }
+  if (r > 0) layout.gap[r - 1] = kTwoPi - sum;
   return layout;
 }
 
@@ -308,17 +312,14 @@ void StdBoundsView::Build(const Task& task,
                           const std::vector<Observation>& obs) {
   const size_t r = obs.size();
   sd_angle_.clear();
-  ring_raw_.clear();
   arrival_.clear();
   for (const Observation& o : obs) {
     sd_angle_.push_back(geo::NormalizeAngle(o.angle));
-    ring_raw_.push_back(o.angle);
     // Clamping is monotone, so clamping after sorting (TemporalDiversity)
     // and sorting after clamping give the same sequence.
     arrival_.push_back(std::clamp(o.arrival, task.start, task.end));
   }
   std::sort(sd_angle_.begin(), sd_angle_.end());
-  std::sort(ring_raw_.begin(), ring_raw_.end());
   std::sort(arrival_.begin(), arrival_.end());
 
   sd_gap_.clear();
@@ -327,13 +328,6 @@ void StdBoundsView::Build(const Task& task,
     double gap = sd_angle_[k + 1] - sd_angle_[k];
     sd_gap_.push_back(gap);
     sd_term_.push_back(EntropyTerm(gap / kTwoPi));
-  }
-
-  ring_angle_.clear();
-  ring_gap_.clear();
-  for (double raw : ring_raw_) ring_angle_.push_back(geo::NormalizeAngle(raw));
-  for (size_t k = 0; k + 1 < r; ++k) {
-    ring_gap_.push_back(geo::CcwDelta(ring_angle_[k], ring_angle_[k + 1]));
   }
 
   td_term_.clear();
@@ -373,13 +367,18 @@ DiversityBounds StdBoundsView::Bounds(const Task& task,
   // before q, the one or two gaps touching the new element, cached gaps
   // after it.
 
-  // SpatialDiversity of all angles.
+  // SpatialDiversity of all angles, and the narrowest gap of the same ring
+  // (SortByAngle's gaps are these gaps) for the smallest realizable
+  // non-zero SD.
   double sd = 0.0;
+  double min_sd = 0.0;
   if (r >= 2) {
     double entropy = 0.0;
     double sum = 0.0;
+    double min_gap = kTwoPi;
     auto add = [&](double gap, double term) {
       sum += gap;
+      min_gap = std::min(min_gap, gap);
       entropy += term;
     };
     const double x = insert ? geo::NormalizeAngle(extra->angle) : 0.0;
@@ -398,8 +397,10 @@ DiversityBounds StdBoundsView::Bounds(const Task& task,
       add(gap, EntropyTerm(gap / kTwoPi));
     }
     for (size_t k = q; k + 1 < old_r; ++k) add(sd_gap_[k], sd_term_[k]);
-    entropy += EntropyTerm((kTwoPi - sum) / kTwoPi);
+    const double wrap = kTwoPi - sum;
+    entropy += EntropyTerm(wrap / kTwoPi);
     sd = entropy;
+    min_sd = TwoWayEntropy(std::min(min_gap, wrap) / kTwoPi);
   }
 
   // TemporalDiversity of all arrivals.
@@ -440,30 +441,6 @@ DiversityBounds StdBoundsView::Bounds(const Task& task,
   }
   double p_ge1 = 1.0 - none;
   double p_ge2 = std::max(0.0, p_ge1 - exactly_one);
-
-  // Narrowest CCW gap of the ring in raw-angle order (SortByAngle).
-  double min_sd = 0.0;
-  if (r >= 2) {
-    double sum = 0.0;
-    double min_gap = kTwoPi;
-    auto visit = [&](double gap) {
-      sum += gap;
-      min_gap = std::min(min_gap, gap);
-    };
-    const double x = insert ? geo::NormalizeAngle(extra->angle) : 0.0;
-    const size_t q =
-        insert ? static_cast<size_t>(std::upper_bound(ring_raw_.begin(),
-                                                      ring_raw_.end(),
-                                                      extra->angle) -
-                                     ring_raw_.begin())
-               : old_r;
-    for (size_t k = 0; k + 1 < q; ++k) visit(ring_gap_[k]);
-    if (insert && q > 0) visit(geo::CcwDelta(ring_angle_[q - 1], x));
-    if (insert && q < old_r) visit(geo::CcwDelta(x, ring_angle_[q]));
-    for (size_t k = q; k + 1 < old_r; ++k) visit(ring_gap_[k]);
-    min_gap = std::min(min_gap, kTwoPi - sum);
-    min_sd = TwoWayEntropy(min_gap / kTwoPi);
-  }
 
   double min_td = min_td_;
   if (insert) {

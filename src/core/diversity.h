@@ -82,16 +82,11 @@ class StdBoundsView {
                          const Observation* extra = nullptr) const;
 
  private:
-  // Normalized angles sorted by value (SpatialDiversity), the gaps between
-  // neighbours and each gap's entropy term.
+  // Normalized angles sorted by value (SpatialDiversity and SortByAngle),
+  // the gaps between neighbours and each gap's entropy term.
   std::vector<double> sd_angle_;
   std::vector<double> sd_gap_;
   std::vector<double> sd_term_;
-  // Raw angles sorted, their normalized values in that order and the CCW
-  // gaps between neighbours (the narrowest-gap ring of SortByAngle).
-  std::vector<double> ring_raw_;
-  std::vector<double> ring_angle_;
-  std::vector<double> ring_gap_;
   // Arrivals clamped into the valid period and sorted, and the entropy
   // term of each of the r + 1 sub-intervals they cut the period into.
   std::vector<double> arrival_;

@@ -12,14 +12,10 @@ util::StatusOr<SolveResult> Solver::Solve(const SolveRequest& request) {
     return util::Status::InvalidArgument(
         "candidate graph shape does not match the instance");
   }
-  util::Executor& executor = util::OrSerial(request.executor);
-  if (request.deadline != nullptr) {
-    return SolveImpl(*request.instance, *request.graph, *request.deadline,
-                     executor, request.partial_stats);
-  }
-  util::Deadline deadline(request.budget_seconds, request.cancel);
-  return SolveImpl(*request.instance, *request.graph, deadline, executor,
-                   request.partial_stats);
+  const util::Deadline unlimited;
+  return SolveImpl(*request.instance, *request.graph,
+                   request.deadline != nullptr ? *request.deadline : unlimited,
+                   util::OrSerial(request.executor), request.partial_stats);
 }
 
 util::StatusOr<SolveResult> Solver::Solve(const Instance& instance,

@@ -78,18 +78,13 @@ struct SolveResult {
 };
 
 /// One solve call: the instance, its candidate graph, and the admission
-/// controls. Solvers poll the budget/token cooperatively and fail with
+/// controls. Solvers poll the deadline cooperatively and fail with
 /// kDeadlineExceeded / kCancelled instead of overrunning.
 struct SolveRequest {
   const Instance* instance = nullptr;
   const CandidateGraph* graph = nullptr;
-  /// Wall-clock budget in seconds; <= 0 means unlimited.
-  double budget_seconds = 0.0;
-  /// Optional cooperative cancellation token (unowned).
-  const util::CancelToken* cancel = nullptr;
-  /// Advanced: share a caller-owned deadline instead of deriving one from
-  /// `budget_seconds`/`cancel` (used by solvers that delegate to embedded
-  /// sub-solvers). When set it overrides both fields above.
+  /// Optional caller-owned deadline (unowned): wall-clock budget plus
+  /// cancellation tokens. nullptr means unlimited.
   const util::Deadline* deadline = nullptr;
   /// When non-null, receives the counters accumulated up to the point a
   /// solve failed (budget_exhausted set on kDeadlineExceeded/kCancelled).

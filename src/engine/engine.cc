@@ -13,41 +13,23 @@
 namespace rdbsc {
 namespace engine {
 
-/// The typed state one request threads through the staged pipeline
+/// The typed state one run threads through the staged pipeline
 /// Validate -> Plan -> BuildGraph -> Solve. Each stage consumes the
-/// products of the previous ones and records its own, so an entry point
-/// can skip a stage by pre-filling its product (SolveOn sets `graph` and
-/// skips the build). Inputs are set up by the entry point; everything
-/// below the marker is stage output.
+/// products of the previous ones and records its own. Inputs are set up
+/// by Engine::Run; everything below the marker is stage output.
 struct ExecutionContext {
   // --- inputs ---
   const core::Instance* instance = nullptr;
-  util::Deadline deadline;
-  /// Optional executor the build/solve stages shard over (nullptr =
-  /// serial; results are bit-identical either way).
-  util::Executor* executor = nullptr;
-  /// When non-null, receives the partial stats of a failed solve.
-  core::SolveStats* partial_stats = nullptr;
-  /// Optional cache consulted by BuildGraph (plan/graph tier) and by the
-  /// full pipeline (result tier), per `cache_mode`.
-  SolveCache* cache = nullptr;
+  const RunControls* controls = nullptr;
+  /// controls->cache_mode resolved: kOff without a cache, and kDefault
+  /// with one means kReadWrite.
   CacheMode cache_mode = CacheMode::kOff;
-  /// Optional precomputed result-tier key (unowned; must equal what
-  /// Engine::ResultCacheKey(*instance) would return). Callers that
-  /// already fingerprinted the instance -- engine::Server hashes it at
-  /// admission for single-flight -- pass it here so RunPipeline does not
-  /// hash the instance a second time.
-  const util::Hash128* result_key = nullptr;
 
   // --- stage products ---
-  /// StageValidate passed (or validation is disabled).
-  bool validated = false;
-  /// StagePlan decided the build path below.
-  bool planned = false;
   /// Cell side the grid path would use (resolved by StagePlan even when
   /// the brute-force path wins, so cache keys are stable).
   double resolved_eta = 0.0;
-  /// used_grid_index/eta after StagePlan; edges/build_seconds/from_cache
+  /// used_grid_index after StagePlan; eta/edges/build_seconds/from_cache
   /// after StageBuildGraph.
   GraphPlan plan;
   /// StageBuildGraph product. Shared so the cache and any number of
@@ -55,9 +37,6 @@ struct ExecutionContext {
   std::shared_ptr<const core::CandidateGraph> graph;
   /// StageSolve product.
   core::SolveResult solve;
-  /// Result-tier hit: `solve`/`plan` were replayed from the cache and the
-  /// Plan/BuildGraph/Solve stages were skipped entirely.
-  bool result_from_cache = false;
 };
 
 }  // namespace engine
@@ -84,8 +63,8 @@ index::CostModelParams ParamsFor(const core::Instance& instance,
   return params;
 }
 
-// Resolves the RunControls/RunIsolated cache convention: no cache means
-// kOff, and kDefault with a cache attached means kReadWrite.
+// Resolves the RunControls cache convention: no cache means kOff, and
+// kDefault with a cache attached means kReadWrite.
 engine::CacheMode ResolveCacheMode(const engine::SolveCache* cache,
                                    engine::CacheMode mode) {
   if (cache == nullptr) return engine::CacheMode::kOff;
@@ -134,7 +113,8 @@ util::StatusOr<Engine> Engine::Create(EngineConfig config) {
   if (!solver.ok()) return solver.status();
   Engine engine;
   engine.config_ = std::move(config);
-  engine.solver_ = std::move(solver).value();
+  engine.initialized_ = true;
+  engine.display_name_ = std::string(solver.value()->name());
   if (engine.config_.num_threads > 1) {
     engine.pool_ =
         std::make_unique<util::ThreadPool>(engine.config_.num_threads);
@@ -161,28 +141,20 @@ util::StatusOr<Engine> Engine::Create(EngineConfig config) {
   return engine;
 }
 
-std::string_view Engine::solver_display_name() const {
-  return solver_ == nullptr ? std::string_view{} : solver_->name();
-}
-
 util::Hash128 Engine::ResultCacheKey(const core::Instance& instance) const {
   return engine::ResultCacheKey(instance, config_);
 }
 
 // --- Stages --------------------------------------------------------------
 
-util::Status Engine::StageValidate(engine::ExecutionContext& ctx) const {
+util::Status Engine::StageValidate(
+    const engine::ExecutionContext& ctx) const {
   StageTimer timer(stage_metrics_.validate_seconds);
-  if (config_.validate_instances) {
-    if (util::Status status = ctx.instance->Validate(); !status.ok()) {
-      return status;
-    }
-  }
-  ctx.validated = true;
-  return util::Status::OK();
+  if (!config_.validate_instances) return util::Status::OK();
+  return ctx.instance->Validate();
 }
 
-util::Status Engine::StagePlan(engine::ExecutionContext& ctx) const {
+void Engine::StagePlan(engine::ExecutionContext& ctx) const {
   StageTimer timer(stage_metrics_.plan_seconds);
   const core::Instance& instance = *ctx.instance;
   bool use_grid = config_.graph_strategy == GraphStrategy::kGridIndex;
@@ -205,60 +177,21 @@ util::Status Engine::StagePlan(engine::ExecutionContext& ctx) const {
   }
   ctx.plan.used_grid_index = use_grid;
   ctx.resolved_eta = eta;
-  ctx.planned = true;
-  return util::Status::OK();
-}
-
-util::StatusOr<core::CandidateGraph> Engine::ExecutePlannedBuild(
-    const core::Instance& instance, bool use_grid, double eta,
-    GraphPlan* plan, const util::Deadline& deadline,
-    util::Executor* executor) const {
-  auto t0 = std::chrono::steady_clock::now();
-  GraphPlan local;
-  local.used_grid_index = use_grid;
-
-  core::CandidateGraph graph;
-  if (use_grid) {
-    util::StatusOr<index::GridIndex> grid =
-        index::GridIndex::Build(instance, eta, deadline);
-    if (!grid.ok()) return grid.status();
-    util::StatusOr<std::vector<std::vector<core::TaskId>>> edges =
-        grid.value().RetrieveEdges(instance.num_workers(), nullptr, executor,
-                                   deadline);
-    if (!edges.ok()) return edges.status();
-    graph =
-        core::CandidateGraph::FromEdges(instance, std::move(edges).value());
-    local.eta = grid.value().eta();
-  } else {
-    util::StatusOr<core::CandidateGraph> built =
-        core::CandidateGraph::Build(instance, executor, deadline);
-    if (!built.ok()) return built.status();
-    graph = std::move(built).value();
-  }
-  local.edges = graph.NumEdges();
-  local.build_seconds = SecondsSince(t0);
-  if (plan != nullptr) *plan = local;
-  return graph;
 }
 
 util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
-  if (!ctx.planned) {
-    if (util::Status status = StagePlan(ctx); !status.ok()) return status;
-  }
-  // Timer starts after the implicit plan so stage histograms stay
-  // disjoint: plan time lands in "plan" even when triggered from here.
   StageTimer timer(stage_metrics_.build_seconds);
-  const engine::CacheMode mode = ResolveCacheMode(ctx.cache, ctx.cache_mode);
+  const core::Instance& instance = *ctx.instance;
   util::Hash128 key{};
-  if (CacheModeReads(mode) || CacheModeWrites(mode)) {
-    key = engine::GraphCacheKey(*ctx.instance, ctx.plan.used_grid_index,
+  if (ctx.cache_mode != engine::CacheMode::kOff) {
+    key = engine::GraphCacheKey(instance, ctx.plan.used_grid_index,
                                 ctx.resolved_eta);
   }
-  if (CacheModeReads(mode)) {
-    auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
+  if (CacheModeReads(ctx.cache_mode)) {
     GraphPlan cached_plan;
     if (std::shared_ptr<const core::CandidateGraph> hit =
-            ctx.cache->LookupGraph(key, &cached_plan)) {
+            ctx.controls->cache->LookupGraph(key, &cached_plan)) {
       ctx.graph = std::move(hit);
       ctx.plan = cached_plan;
       ctx.plan.build_seconds = SecondsSince(t0);
@@ -267,52 +200,80 @@ util::Status Engine::StageBuildGraph(engine::ExecutionContext& ctx) const {
     }
   }
 
-  util::StatusOr<core::CandidateGraph> built = ExecutePlannedBuild(
-      *ctx.instance, ctx.plan.used_grid_index, ctx.resolved_eta, &ctx.plan,
-      ctx.deadline, ctx.executor);
-  if (!built.ok()) return built.status();
-  auto shared = std::make_shared<const core::CandidateGraph>(
-      std::move(built).value());
-  if (CacheModeWrites(mode)) {
-    ctx.cache->InsertGraph(key, shared, ctx.plan);
+  const util::Deadline& deadline = ctx.controls->deadline;
+  core::CandidateGraph graph;
+  if (ctx.plan.used_grid_index) {
+    util::StatusOr<index::GridIndex> grid =
+        index::GridIndex::Build(instance, ctx.resolved_eta, deadline);
+    if (!grid.ok()) return grid.status();
+    util::StatusOr<std::vector<std::vector<core::TaskId>>> edges =
+        grid.value().RetrieveEdges(instance.num_workers(), nullptr,
+                                   pool_.get(), deadline);
+    if (!edges.ok()) return edges.status();
+    graph =
+        core::CandidateGraph::FromEdges(instance, std::move(edges).value());
+    ctx.plan.eta = grid.value().eta();
+  } else {
+    util::StatusOr<core::CandidateGraph> built =
+        core::CandidateGraph::Build(instance, pool_.get(), deadline);
+    if (!built.ok()) return built.status();
+    graph = std::move(built).value();
+  }
+  ctx.plan.edges = graph.NumEdges();
+  ctx.plan.build_seconds = SecondsSince(t0);
+  auto shared = std::make_shared<const core::CandidateGraph>(std::move(graph));
+  if (CacheModeWrites(ctx.cache_mode)) {
+    ctx.controls->cache->InsertGraph(key, shared, ctx.plan);
   }
   ctx.graph = std::move(shared);
   return util::Status::OK();
 }
 
-util::Status Engine::StageSolve(engine::ExecutionContext& ctx,
-                                core::Solver& solver) const {
+util::Status Engine::StageSolve(engine::ExecutionContext& ctx) const {
   StageTimer timer(stage_metrics_.solve_seconds);
+  // A fresh solver per run: concurrent runs share no solver state, and
+  // every solver reseeds from its options on each solve, so any instance
+  // gives the same bits.
+  util::StatusOr<std::unique_ptr<core::Solver>> solver =
+      core::SolverRegistry::Global().Create(config_.solver_name,
+                                            config_.solver_options);
+  if (!solver.ok()) return solver.status();
   core::SolveRequest request;
   request.instance = ctx.instance;
   request.graph = ctx.graph.get();
-  request.deadline = &ctx.deadline;
-  request.partial_stats = ctx.partial_stats;
-  request.executor = ctx.executor;
-  util::StatusOr<core::SolveResult> solved = solver.Solve(request);
+  request.deadline = &ctx.controls->deadline;
+  request.partial_stats = ctx.controls->partial_stats;
+  request.executor = pool_.get();
+  util::StatusOr<core::SolveResult> solved = solver.value()->Solve(request);
   if (!solved.ok()) return solved.status();
   ctx.solve = std::move(solved).value();
   return util::Status::OK();
 }
 
-util::StatusOr<EngineResult> Engine::RunPipeline(
-    engine::ExecutionContext& ctx, core::Solver& solver) const {
-  if (!ctx.validated) {
-    if (util::Status status = StageValidate(ctx); !status.ok()) {
-      return status;
-    }
-  }
+// --- The entry point -----------------------------------------------------
 
-  const engine::CacheMode mode = ResolveCacheMode(ctx.cache, ctx.cache_mode);
-  util::Hash128 result_key{};
-  if (CacheModeReads(mode) || CacheModeWrites(mode)) {
-    result_key = ctx.result_key != nullptr
-                     ? *ctx.result_key
-                     : engine::ResultCacheKey(*ctx.instance, config_);
+util::StatusOr<EngineResult> Engine::Run(const core::Instance& instance,
+                                         const RunControls& controls) const {
+  if (!initialized_) {
+    return util::Status::FailedPrecondition(
+        "engine not initialized; construct it with Engine::Create");
   }
-  if (CacheModeReads(mode)) {
+  engine::ExecutionContext ctx;
+  ctx.instance = &instance;
+  ctx.controls = &controls;
+  ctx.cache_mode = ResolveCacheMode(controls.cache, controls.cache_mode);
+
+  if (util::Status status = StageValidate(ctx); !status.ok()) return status;
+
+  util::Hash128 result_key{};
+  if (ctx.cache_mode != engine::CacheMode::kOff) {
+    result_key = controls.result_key != nullptr
+                     ? *controls.result_key
+                     : engine::ResultCacheKey(instance, config_);
+  }
+  if (CacheModeReads(ctx.cache_mode)) {
     if (std::shared_ptr<const EngineResult> hit =
-            ctx.cache->LookupResult(result_key)) {
+            controls.cache->LookupResult(result_key)) {
       // Bit-identical replay of the cold run that produced the entry
       // (values are immutable and shared); only the provenance flag and
       // -- implicitly -- wall-clock differ.
@@ -321,9 +282,6 @@ util::StatusOr<EngineResult> Engine::RunPipeline(
       }
       EngineResult result = *hit;
       result.from_cache = true;
-      ctx.plan = result.plan;
-      ctx.solve = result.solve;
-      ctx.result_from_cache = true;
       return result;
     }
     if (stage_metrics_.cache_misses != nullptr) {
@@ -331,116 +289,27 @@ util::StatusOr<EngineResult> Engine::RunPipeline(
     }
   }
 
-  if (ctx.graph == nullptr) {
-    if (util::Status status = StageBuildGraph(ctx); !status.ok()) {
-      // The build tripped the budget mid-scan; report it the same way a
-      // budget-exceeded solve would.
-      if (ctx.partial_stats != nullptr &&
-          (status.code() == util::StatusCode::kDeadlineExceeded ||
-           status.code() == util::StatusCode::kCancelled)) {
-        *ctx.partial_stats = core::SolveStats{};
-        ctx.partial_stats->budget_exhausted = true;
-      }
-      return status;
+  StagePlan(ctx);
+  if (util::Status status = StageBuildGraph(ctx); !status.ok()) {
+    // The build tripped the budget mid-scan; report it the same way a
+    // budget-exceeded solve would.
+    if (controls.partial_stats != nullptr &&
+        (status.code() == util::StatusCode::kDeadlineExceeded ||
+         status.code() == util::StatusCode::kCancelled)) {
+      *controls.partial_stats = core::SolveStats{};
+      controls.partial_stats->budget_exhausted = true;
     }
-  }
-
-  if (util::Status status = StageSolve(ctx, solver); !status.ok()) {
     return status;
   }
+  if (util::Status status = StageSolve(ctx); !status.ok()) return status;
 
   EngineResult result;
-  result.solve = ctx.solve;
+  result.solve = std::move(ctx.solve);
   result.plan = ctx.plan;
-  if (CacheModeWrites(mode)) {
-    ctx.cache->InsertResult(result_key, result);
+  if (CacheModeWrites(ctx.cache_mode)) {
+    controls.cache->InsertResult(result_key, result);
   }
   return result;
-}
-
-// --- Entry points (stage compositions) -----------------------------------
-
-util::Status Engine::CheckInitialized() const {
-  if (solver_ == nullptr) {
-    return util::Status::FailedPrecondition(
-        "engine not initialized; construct it with Engine::Create");
-  }
-  return util::Status::OK();
-}
-
-util::Deadline Engine::MakeDeadline(const RunControls& controls) const {
-  double budget = controls.budget_seconds < 0.0 ? config_.budget_seconds
-                                                : controls.budget_seconds;
-  return util::Deadline(budget, controls.cancel);
-}
-
-util::StatusOr<core::CandidateGraph> Engine::BuildGraph(
-    const core::Instance& instance, GraphPlan* plan,
-    const util::Deadline& deadline) const {
-  engine::ExecutionContext ctx;
-  ctx.instance = &instance;
-  if (util::Status status = StagePlan(ctx); !status.ok()) return status;
-  // Record into the build-stage histogram here too, so SolveOn-style
-  // callers (the benches share one graph across approaches) still get a
-  // full per-stage breakdown.
-  StageTimer timer(stage_metrics_.build_seconds);
-  util::StatusOr<core::CandidateGraph> built = ExecutePlannedBuild(
-      instance, ctx.plan.used_grid_index, ctx.resolved_eta, &ctx.plan,
-      deadline, pool_.get());
-  if (built.ok() && plan != nullptr) *plan = ctx.plan;
-  return built;
-}
-
-util::StatusOr<core::SolveResult> Engine::SolveOn(
-    const core::Instance& instance, const core::CandidateGraph& graph,
-    const RunControls& controls) {
-  if (util::Status status = CheckInitialized(); !status.ok()) return status;
-  engine::ExecutionContext ctx;
-  ctx.instance = &instance;
-  ctx.deadline = MakeDeadline(controls);
-  ctx.executor = pool_.get();
-  ctx.partial_stats = controls.partial_stats;
-  if (util::Status status = StageValidate(ctx); !status.ok()) return status;
-  // The graph is caller-owned and outlives the call; alias it into the
-  // context's shared slot without taking ownership.
-  ctx.graph = std::shared_ptr<const core::CandidateGraph>(
-      std::shared_ptr<const core::CandidateGraph>(), &graph);
-  ctx.planned = true;
-  if (util::Status status = StageSolve(ctx, *solver_); !status.ok()) {
-    return status;
-  }
-  return std::move(ctx.solve);
-}
-
-util::StatusOr<EngineResult> Engine::Run(const core::Instance& instance,
-                                         const RunControls& controls) {
-  if (util::Status status = CheckInitialized(); !status.ok()) return status;
-  engine::ExecutionContext ctx;
-  ctx.instance = &instance;
-  ctx.deadline = MakeDeadline(controls);
-  ctx.executor = pool_.get();
-  ctx.partial_stats = controls.partial_stats;
-  ctx.cache = controls.cache;
-  ctx.cache_mode = controls.cache_mode;
-  return RunPipeline(ctx, *solver_);
-}
-
-util::StatusOr<EngineResult> Engine::RunIsolated(
-    const core::Instance& instance, const util::Deadline& deadline,
-    engine::SolveCache* cache, engine::CacheMode mode,
-    const util::Hash128* result_key) const {
-  if (util::Status status = CheckInitialized(); !status.ok()) return status;
-  util::StatusOr<std::unique_ptr<core::Solver>> solver =
-      core::SolverRegistry::Global().Create(config_.solver_name,
-                                            config_.solver_options);
-  if (!solver.ok()) return solver.status();
-  engine::ExecutionContext ctx;
-  ctx.instance = &instance;
-  ctx.deadline = deadline;
-  ctx.cache = cache;
-  ctx.cache_mode = mode;
-  ctx.result_key = result_key;
-  return RunPipeline(ctx, *solver.value());
 }
 
 }  // namespace rdbsc

@@ -39,8 +39,7 @@ struct StageMetrics {
 /// the mode says what one run may do with it.
 enum class CacheMode {
   /// Fall back to the owner's configured default (SubmitControls only; a
-  /// RunControls/RunIsolated kDefault with a cache attached means
-  /// kReadWrite).
+  /// RunControls kDefault with a cache attached means kReadWrite).
   kDefault,
   /// Bypass the cache entirely: solve cold, store nothing.
   kOff,
@@ -73,8 +72,8 @@ enum class GraphStrategy {
 };
 
 /// Configuration of an Engine: which solver to run (by registry name),
-/// its options, how to build candidate graphs, and the default admission
-/// budget applied to every solve.
+/// its options, and how to build candidate graphs. Budgets are not
+/// configuration: every run takes its caller's RunControls::deadline.
 struct EngineConfig {
   std::string solver_name = "dc";
   core::SolverOptions solver_options;
@@ -86,20 +85,14 @@ struct EngineConfig {
   /// Correlation fractal dimension fed to the cost model (2 = uniform).
   double d2 = 2.0;
 
-  /// Default wall-clock budget in seconds; <= 0 unlimited. Run and
-  /// SolveOn derive one deadline per call from it. RunIsolated (and
-  /// therefore engine::Server, whose budgets come from ServerConfig's
-  /// default_budget_seconds / total_budget_seconds pool) ignores this
-  /// field entirely: the caller owns the deadline there.
-  double budget_seconds = 0.0;
   /// Run Instance::Validate before solving (admission control).
   bool validate_instances = true;
 
   /// Worker threads of the engine-owned util::ThreadPool; <= 1 keeps the
   /// zero-thread serial default. The pool shards graph construction and
-  /// the D&C/sampling solvers inside Run/SolveOn. Results are
-  /// bit-identical to serial for a fixed solver seed at every thread
-  /// count.
+  /// the D&C/sampling solvers inside Run, and concurrent runs share it.
+  /// Results are bit-identical to serial for a fixed solver seed at every
+  /// thread count.
   int num_threads = 0;
 
   /// Optional metrics sink (unowned; must outlive the engine). When set,
@@ -114,23 +107,24 @@ struct EngineConfig {
   obs::Registry* metrics = nullptr;
 };
 
-/// Per-run admission overrides.
+/// Per-run controls: the caller's deadline and cache policy.
 struct RunControls {
-  /// < 0: use the engine's configured default budget. 0: unlimited.
-  double budget_seconds = -1.0;
-  /// Optional cooperative cancellation token (unowned).
-  const util::CancelToken* cancel = nullptr;
+  /// Wall-clock budget and cancellation tokens of the whole run, graph
+  /// build included (default: unlimited). The only budget a run has.
+  util::Deadline deadline;
   /// When non-null, receives the partial stats of a failed solve.
   core::SolveStats* partial_stats = nullptr;
   /// Optional result/graph cache (unowned; must be thread-safe -- it is).
-  /// nullptr keeps every run cold. SolveOn ignores both cache fields:
-  /// its graph is caller-provided, so the content fingerprints (which
-  /// describe the graph the engine's own configuration would build)
-  /// cannot vouch for the result.
+  /// nullptr keeps every run cold.
   engine::SolveCache* cache = nullptr;
   /// What the run may do with `cache`; kDefault means kReadWrite when a
   /// cache is attached.
   engine::CacheMode cache_mode = engine::CacheMode::kDefault;
+  /// Optional precomputed ResultCacheKey(instance) (unowned). Callers that
+  /// already fingerprinted the instance -- engine::Server hashes it at
+  /// admission for single-flight -- pass it so the run does not hash the
+  /// instance a second time.
+  const util::Hash128* result_key = nullptr;
 };
 
 /// How one run built its candidate graph (reported back to the caller).
@@ -161,22 +155,23 @@ namespace engine {
 struct ExecutionContext;
 }  // namespace engine
 
-/// The facade over the whole solving pipeline, an explicit staged one:
+/// The facade over the whole solving pipeline, one straight line of
+/// private stages over an engine::ExecutionContext:
 ///
-///   Validate -> Plan -> BuildGraph -> Solve
+///   Validate -> result-tier lookup -> Plan -> BuildGraph -> Solve -> insert
 ///
-/// Run/RunIsolated/SolveOn are compositions of private stage methods
-/// over one engine::ExecutionContext. An optional engine::SolveCache
-/// short-circuits the pipeline at two seams: the full-result tier skips
-/// everything after Validate, and the plan/graph tier skips the
-/// candidate-graph build.
+/// An optional engine::SolveCache short-circuits it at two seams: the
+/// full-result tier skips everything after Validate, and the plan/graph
+/// tier skips the candidate-graph build. Callers that share one graph
+/// across solvers attach one cache: the graph tier is keyed on the
+/// instance and the resolved build decision, not on the solver.
 ///
 ///   auto engine = rdbsc::Engine::Create({.solver_name = "greedy"});
 ///   auto result = engine.value().Run(instance);
 class Engine {
  public:
-  /// An inert engine: Run/SolveOn fail with kFailedPrecondition.
-  /// Use Create() for a working one.
+  /// An inert engine: Run fails with kFailedPrecondition. Use Create()
+  /// for a working one.
   Engine() = default;
 
   /// Resolves `config.solver_name` through the global registry;
@@ -186,49 +181,17 @@ class Engine {
   /// Convenience: default config with just the solver name set.
   static util::StatusOr<Engine> Create(std::string solver_name);
 
-  /// Full pipeline: validate -> plan -> build graph -> solve. The
-  /// admission budget spans the whole run including graph construction:
-  /// every phase polls the deadline/token cooperatively -- the candidate-
-  /// graph build checks it between worker-row / cell blocks, so a budget
-  /// can cut an in-flight build short with kDeadlineExceeded instead of
-  /// running the O(m*n) scan to completion.
+  /// The whole pipeline under `controls.deadline`, which every stage polls
+  /// cooperatively -- the candidate-graph build checks it between
+  /// worker-row / cell blocks, so a budget can cut an in-flight build
+  /// short with kDeadlineExceeded / kCancelled instead of running the
+  /// O(m*n) scan to completion. Thread-safe: each call solves on a fresh
+  /// registry-created solver and concurrent calls share only the
+  /// engine's thread pool, so the result is bit-identical whichever
+  /// thread runs it. A cache hit is bit-identical to the cold solve, so
+  /// that holds with or without `controls.cache`.
   util::StatusOr<EngineResult> Run(const core::Instance& instance,
-                                   const RunControls& controls = {});
-
-  /// Graph half of the facade, for callers that reuse one graph across
-  /// several solves (e.g. the bench sweeps running 4 approaches). Sharded
-  /// over the engine pool; fails with kDeadlineExceeded / kCancelled once
-  /// `deadline` trips mid-build.
-  util::StatusOr<core::CandidateGraph> BuildGraph(
-      const core::Instance& instance, GraphPlan* plan = nullptr,
-      const util::Deadline& deadline = util::Deadline()) const;
-
-  /// Solve half, on a prebuilt graph. `controls.cache`/`cache_mode` are
-  /// deliberately ignored here: the cache keys fingerprint the graph this
-  /// engine's configuration would build, and a caller-provided graph may
-  /// be anything -- serving or storing such results would poison the
-  /// cache with entries the key cannot vouch for.
-  util::StatusOr<core::SolveResult> SolveOn(
-      const core::Instance& instance, const core::CandidateGraph& graph,
-      const RunControls& controls = {});
-
-  /// The entry point of async admission layers (engine::Server): runs
-  /// the full pipeline on a fresh registry-created solver under a
-  /// caller-owned deadline (EngineConfig::budget_seconds
-  /// is ignored here). Thread-safe -- concurrent calls share no mutable
-  /// state -- and serial inside the call (no executor), so the result is
-  /// bit-identical no matter which thread runs it. `cache`/`mode` follow
-  /// the RunControls semantics (kDefault with a cache means kReadWrite);
-  /// a cache hit is bit-identical to the cold solve, so the determinism
-  /// contract holds with or without one. `result_key`, when non-null, is
-  /// the caller's precomputed ResultCacheKey(instance) (saves re-hashing
-  /// the instance on the dispatch hot path).
-  util::StatusOr<EngineResult> RunIsolated(
-      const core::Instance& instance,
-      const util::Deadline& deadline = util::Deadline(),
-      engine::SolveCache* cache = nullptr,
-      engine::CacheMode mode = engine::CacheMode::kDefault,
-      const util::Hash128* result_key = nullptr) const;
+                                   const RunControls& controls = {}) const;
 
   /// The full-result cache key / single-flight identity of `instance`
   /// under this engine's configuration: a content hash over the instance,
@@ -240,51 +203,36 @@ class Engine {
   /// Registry key, e.g. "dc".
   const std::string& solver_name() const { return config_.solver_name; }
   /// The solver's display name, e.g. "D&C" (empty on an inert engine).
-  std::string_view solver_display_name() const;
-
-  /// The engine-owned pool, or nullptr when num_threads <= 1 (serial).
-  util::Executor* executor() const { return pool_.get(); }
+  std::string_view solver_display_name() const { return display_name_; }
 
  private:
   // --- The pipeline stages (see engine::ExecutionContext) ---
   /// Validate: admission control. Fails with the instance's validation
-  /// error; a no-op (still marking `validated`) when the engine is
-  /// configured with validate_instances = false.
-  util::Status StageValidate(engine::ExecutionContext& ctx) const;
+  /// error; a no-op when the engine is configured with
+  /// validate_instances = false.
+  util::Status StageValidate(const engine::ExecutionContext& ctx) const;
 
   /// Plan: consults the Appendix I cost model to pick brute-force or
   /// grid-index construction and resolves the grid cell side. Pure
   /// decision -- no graph is built.
-  util::Status StagePlan(engine::ExecutionContext& ctx) const;
+  void StagePlan(engine::ExecutionContext& ctx) const;
 
-  /// BuildGraph: executes the planned construction (running StagePlan
-  /// first if the caller skipped it). Consults the cache's plan/graph
-  /// tier per ctx.cache_mode; fills ctx.graph and the plan's
-  /// edges/build_seconds.
+  /// BuildGraph: consults the cache's plan/graph tier per the context's
+  /// cache mode, else executes the planned construction; fills ctx.graph
+  /// and the plan's eta/edges/build_seconds.
   util::Status StageBuildGraph(engine::ExecutionContext& ctx) const;
 
-  /// Solve: runs `solver` on ctx.graph under ctx.deadline.
-  util::Status StageSolve(engine::ExecutionContext& ctx,
-                          core::Solver& solver) const;
-
-  /// Runs the remaining stages of `ctx` in order, consulting the cache's
-  /// full-result tier between Validate and Plan, and returns the
-  /// composed EngineResult. Stages whose product is already present
-  /// (validated / planned / graph) are skipped.
-  util::StatusOr<EngineResult> RunPipeline(engine::ExecutionContext& ctx,
-                                           core::Solver& solver) const;
-
-  util::Status CheckInitialized() const;
-  util::Deadline MakeDeadline(const RunControls& controls) const;
-  /// The planned construction itself (grid or brute), shared by
-  /// StageBuildGraph and the legacy BuildGraph entry point.
-  util::StatusOr<core::CandidateGraph> ExecutePlannedBuild(
-      const core::Instance& instance, bool use_grid, double eta,
-      GraphPlan* plan, const util::Deadline& deadline,
-      util::Executor* executor) const;
+  /// Solve: runs a fresh registry-created solver on ctx.graph under the
+  /// run's deadline.
+  util::Status StageSolve(engine::ExecutionContext& ctx) const;
 
   EngineConfig config_;
-  std::unique_ptr<core::Solver> solver_;
+  /// Set by Create; an inert engine refuses to run.
+  bool initialized_ = false;
+  /// The solver's display name, resolved once by Create.
+  std::string display_name_;
+  /// Shards the build and solve stages of every run (nullptr = serial;
+  /// results are bit-identical either way).
   std::unique_ptr<util::ThreadPool> pool_;
   /// Resolved once in Create from config_.metrics (all-null otherwise).
   engine::StageMetrics stage_metrics_;

@@ -207,7 +207,7 @@ util::StatusOr<Ticket> Server::Submit(core::Instance instance,
       mode != CacheMode::kOff && requested_budget <= 0.0 &&
       !budget_limited_ && !controls.cancel_at_dispatch;
   // Only computed when this request could lead or ride a single-flight
-  // group: RunIsolated derives its own cache key at dispatch, so hashing
+  // group: Engine::Run derives its own cache key at dispatch, so hashing
   // here for ineligible requests would be pure admission-path overhead.
   util::Hash128 fingerprint{};
   if (single_flight_eligible) {
@@ -414,10 +414,13 @@ void Server::RunNext() {
   // admission; reuse it so dispatch does not hash the instance again.
   // The deadline carries both the server-wide shutdown token and the
   // ticket's own, so Ticket::Cancel reaches an in-flight solve too.
-  util::Deadline deadline(state->budget_seconds, &cancel_, &state->cancel);
-  util::StatusOr<EngineResult> result = engine_.RunIsolated(
-      state->instance, deadline, cache_.get(), state->cache_mode,
-      is_leader ? &state->fingerprint : nullptr);
+  RunControls controls;
+  controls.deadline =
+      util::Deadline(state->budget_seconds, &cancel_, &state->cancel);
+  controls.cache = cache_.get();
+  controls.cache_mode = state->cache_mode;
+  controls.result_key = is_leader ? &state->fingerprint : nullptr;
+  util::StatusOr<EngineResult> result = engine_.Run(state->instance, controls);
   // Nothing reads the instance after dispatch; release the copy now so
   // tickets held long after completion don't pin task/worker vectors.
   state->instance = core::Instance();

@@ -52,9 +52,9 @@ struct ServerConfig {
   /// pipeline. `engine.num_threads` is ignored: each admitted request runs
   /// serially on a fresh registry-created solver (the determinism
   /// contract), and concurrency comes from `num_workers` requests in
-  /// flight at once. `engine.budget_seconds` is also ignored -- request
-  /// budgets come from `default_budget_seconds` / SubmitControls and the
-  /// `total_budget_seconds` pool below. `engine.metrics`, when left
+  /// flight at once. Request budgets come from `default_budget_seconds` /
+  /// SubmitControls and the `total_budget_seconds` pool below, and become
+  /// each run's RunControls::deadline. `engine.metrics`, when left
   /// null, is pointed at the server-owned registry so per-stage timings
   /// land next to the server.* metrics (Server::metrics()).
   EngineConfig engine;
@@ -245,7 +245,7 @@ class Ticket {
 /// Asynchronous admission layer over the Engine pipeline: Submit copies an
 /// instance into a bounded priority queue and returns a Ticket; a pool of
 /// `num_workers` dispatch threads pops the best queued request (highest
-/// priority, then FIFO) and runs Engine::RunIsolated on it -- a fresh
+/// priority, then FIFO) and runs Engine::Run on it -- a fresh
 /// registry-created solver, serial inside the request -- so per-ticket
 /// results are bit-identical across worker counts and reruns (the PR-3
 /// determinism contract, extended to the async layer and enforced by

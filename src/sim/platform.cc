@@ -10,7 +10,6 @@
 
 #include "core/diversity.h"
 #include "core/registry.h"
-#include "engine/server.h"
 #include "util/config.h"
 #include "util/deadline.h"
 #include "geo/angle.h"
@@ -90,9 +89,7 @@ Platform::Platform(PlatformConfig config) : config_(std::move(config)) {
     init_status_ = created.status();
     return;  // Run() only reports init_status_; don't spawn idle threads
   }
-  // In server mode every tick solves through the engine::Server, which
-  // owns its own dispatch threads -- the platform pool would sit idle.
-  if (config_.num_threads > 1 && config_.server_workers <= 0) {
+  if (config_.num_threads > 1) {
     pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
   }
 }
@@ -118,27 +115,6 @@ util::StatusOr<PlatformResult> Platform::Run() {
         "sim.round_solve_seconds", labels, 1e-9);
     m_round_build = &config_.metrics->GetHistogram(
         "sim.round_build_seconds", labels, 1e-9);
-  }
-
-  // Optional async admission path: ticks submit through an engine::Server
-  // instead of solving inline. Brute-force graph construction keeps the
-  // candidate graph identical to the inline CandidateGraph::Build below,
-  // and the per-ticket fresh solver reproduces the reused solver_ bit for
-  // bit (every solver reseeds from its options per solve).
-  std::unique_ptr<rdbsc::engine::Server> server;
-  if (config_.server_workers > 0) {
-    rdbsc::engine::ServerConfig server_config;
-    server_config.engine.solver_name = config_.solver_name;
-    server_config.engine.solver_options = config_.solver_options;
-    server_config.engine.graph_strategy = GraphStrategy::kBruteForce;
-    server_config.engine.validate_instances = false;
-    server_config.num_workers = config_.server_workers;
-    server_config.cache_mode = config_.cache_mode;
-    server_config.engine.metrics = config_.metrics;
-    util::StatusOr<std::unique_ptr<rdbsc::engine::Server>> created =
-        rdbsc::engine::Server::Create(std::move(server_config));
-    if (!created.ok()) return created.status();
-    server = std::move(created).value();
   }
 
   // --- Set up the campus: sites clustered around the center. ---
@@ -277,34 +253,21 @@ util::StatusOr<PlatformResult> Platform::Run() {
 
     core::Instance snapshot(std::move(open_tasks), std::move(free_workers),
                             /*now=*/t, core::ArrivalPolicy::kStrict);
-    core::SolveResult solve;
+    // Graph build and solve run through the platform pool.
     const auto solve_start = std::chrono::steady_clock::now();
-    if (server != nullptr) {
-      // Async admission path: the tick is one server request (priority 0,
-      // unlimited budget -- the simulator has no per-tick budget).
-      util::StatusOr<rdbsc::engine::Ticket> ticket =
-          server->Submit(snapshot);
-      if (!ticket.ok()) return ticket.status();
-      const util::StatusOr<EngineResult>& run = ticket.value().Wait();
-      if (!run.ok()) return run.status();
-      solve = run.value().solve;
-    } else {
-      // Inline path: graph build and solve run through the platform pool.
-      const auto build_start = std::chrono::steady_clock::now();
-      const core::CandidateGraph graph =
-          core::CandidateGraph::Build(snapshot, pool_.get(), util::Deadline())
-              .value();
-      if (m_round_build != nullptr) {
-        m_round_build->Observe(util::SecondsSince(build_start));
-      }
-      core::SolveRequest request;
-      request.instance = &snapshot;
-      request.graph = &graph;
-      request.executor = pool_.get();
-      util::StatusOr<core::SolveResult> solved = solver_->Solve(request);
-      if (!solved.ok()) return solved.status();
-      solve = std::move(solved).value();
+    const core::CandidateGraph graph =
+        core::CandidateGraph::Build(snapshot, pool_.get(), util::Deadline())
+            .value();
+    if (m_round_build != nullptr) {
+      m_round_build->Observe(util::SecondsSince(solve_start));
     }
+    core::SolveRequest request;
+    request.instance = &snapshot;
+    request.graph = &graph;
+    request.executor = pool_.get();
+    util::StatusOr<core::SolveResult> solved = solver_->Solve(request);
+    if (!solved.ok()) return solved.status();
+    const core::SolveResult solve = std::move(solved).value();
 
     if (m_round_solve != nullptr) {
       m_round_solve->Observe(util::SecondsSince(solve_start));

@@ -8,7 +8,6 @@
 
 #include "core/assignment.h"
 #include "core/solver.h"
-#include "engine/engine.h"
 #include "obs/registry.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -49,26 +48,11 @@ struct PlatformConfig {
   /// candidate-graph build and solve run through; <= 1 stays serial. The
   /// simulated trajectory is bit-identical at every thread count.
   int num_threads = 0;
-  /// When > 0, each tick's snapshot is submitted through an
-  /// engine::Server with this many dispatch workers (the async admission
-  /// layer) instead of being solved inline -- exercising the same
-  /// code path a serving deployment would. The trajectory stays
-  /// bit-identical to the inline path at every worker count.
-  int server_workers = 0;
-  /// Cache policy of the server-mode ticks (ignored inline): repeated
-  /// round snapshots -- retried ticks, simulation replays -- are answered
-  /// from the server's content-addressed SolveCache. A hit is
-  /// bit-identical to a cold solve, so the trajectory is unchanged by the
-  /// mode; only tick latency varies. kDefault keeps the server's own
-  /// default (off).
-  engine::CacheMode cache_mode = engine::CacheMode::kDefault;
   /// Optional metrics sink (unowned; must outlive Run()). Records the
   /// counters sim.rounds / sim.assignments / sim.answers and the
-  /// per-round histograms sim.round_solve_seconds and (inline path)
+  /// per-round histograms sim.round_solve_seconds and
   /// sim.round_build_seconds -- the per-tick CandidateGraph::Build (all
-  /// labeled {solver}); in server mode the registry is also attached to the
-  /// server's engine, so the engine.stage_seconds breakdown lands next
-  /// to the sim metrics. Purely observational: the simulated trajectory
+  /// labeled {solver}). Purely observational: the simulated trajectory
   /// is bit-identical with or without it.
   obs::Registry* metrics = nullptr;
 };

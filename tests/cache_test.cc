@@ -308,14 +308,14 @@ TEST(CachePipelineTest, FailedSolvesAreNeverCached) {
   SolveCache cache;
   RunControls controls;
   controls.cache = &cache;
-  controls.budget_seconds = 1e-9;
+  controls.deadline = util::Deadline(1e-9);
   util::StatusOr<EngineResult> starved = engine.Run(instance, controls);
   ASSERT_FALSE(starved.ok());
   EXPECT_EQ(starved.status().code(), util::StatusCode::kDeadlineExceeded);
   EXPECT_EQ(cache.Stats().result_entries, 0);
   EXPECT_EQ(cache.Stats().graph_entries, 0);
 
-  controls.budget_seconds = -1.0;
+  controls.deadline = util::Deadline();
   util::StatusOr<EngineResult> healthy = engine.Run(instance, controls);
   ASSERT_TRUE(healthy.ok());
   EXPECT_FALSE(healthy.value().from_cache);

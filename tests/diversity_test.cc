@@ -139,21 +139,37 @@ class MatrixVsBruteForceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(MatrixVsBruteForceTest, ExpectedStdMatchesEnumeration) {
   util::Rng rng(GetParam());
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 60; ++trial) {
+    // Trials past 40 draw angles from [-1, 2*pi + 1]: one list then mixes
+    // period windows, whose angles are the directions of their normalized
+    // values.
+    const double lo = trial < 40 ? 0.0 : -1.0;
+    const double hi = trial < 40 ? geo::kTwoPi : geo::kTwoPi + 1.0;
     int r = static_cast<int>(rng.UniformInt(0, 10));
     double beta = rng.Uniform(0.0, 1.0);
     double start = rng.Uniform(0.0, 5.0);
     double end = start + rng.Uniform(0.5, 3.0);
     Task task = MakeTask(beta, start, end);
     std::vector<Observation> obs;
+    std::vector<Observation> normalized;
     for (int i = 0; i < r; ++i) {
-      obs.push_back(Obs(rng.Uniform(0.0, geo::kTwoPi),
-                        rng.Uniform(start, end), rng.Uniform(0.0, 1.0)));
+      obs.push_back(Obs(rng.Uniform(lo, hi), rng.Uniform(start, end),
+                        rng.Uniform(0.0, 1.0)));
+      normalized.push_back(obs.back());
+      normalized.back().angle = geo::NormalizeAngle(obs.back().angle);
     }
     double matrix = ExpectedStd(task, obs);
     double brute = ExpectedStdBruteForce(task, obs);
     EXPECT_NEAR(matrix, brute, 1e-9)
         << "r=" << r << " beta=" << beta << " trial=" << trial;
+    const DiversityBounds raw = ExpectedStdBounds(task, obs);
+    const DiversityBounds norm = ExpectedStdBounds(task, normalized);
+    EXPECT_EQ(std::bit_cast<uint64_t>(raw.lb),
+              std::bit_cast<uint64_t>(norm.lb))
+        << "trial=" << trial;
+    EXPECT_EQ(std::bit_cast<uint64_t>(raw.ub),
+              std::bit_cast<uint64_t>(norm.ub))
+        << "trial=" << trial;
   }
 }
 

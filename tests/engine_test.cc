@@ -1,9 +1,12 @@
 #include "engine/engine.h"
 
+#include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/registry.h"
+#include "engine/fingerprint.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/deadline.h"
@@ -88,7 +91,7 @@ TEST(EngineTest, TinyBudgetReturnsDeadlineExceededWithPartialStats) {
     Engine engine = Engine::Create(config).value();
     core::SolveStats partial;
     RunControls controls;
-    controls.budget_seconds = 1e-12;
+    controls.deadline = util::Deadline(1e-12);
     controls.partial_stats = &partial;
     util::StatusOr<EngineResult> run = engine.Run(instance, controls);
     ASSERT_FALSE(run.ok()) << name;
@@ -102,11 +105,10 @@ TEST(EngineTest, ExactSolverHonorsTinyBudget) {
   // Small enough to be under the enumeration cap, so the failure comes
   // from the budget (not the cap check).
   core::Instance instance = SmallInstance(12, 4, 8);
-  EngineConfig config;
-  config.solver_name = "exact";
-  config.budget_seconds = 1e-12;  // engine-level default budget
-  Engine engine = Engine::Create(config).value();
-  util::StatusOr<EngineResult> run = engine.Run(instance);
+  Engine engine = Engine::Create("exact").value();
+  RunControls controls;
+  controls.deadline = util::Deadline(1e-12);
+  util::StatusOr<EngineResult> run = engine.Run(instance, controls);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), util::StatusCode::kDeadlineExceeded);
 }
@@ -117,33 +119,10 @@ TEST(EngineTest, CancelTokenStopsTheSolve) {
   util::CancelToken cancel;
   cancel.Cancel();  // already cancelled: the solve must not run
   RunControls controls;
-  controls.cancel = &cancel;
+  controls.deadline = util::Deadline(0.0, &cancel);
   util::StatusOr<EngineResult> run = engine.Run(instance, controls);
   ASSERT_FALSE(run.ok());
   EXPECT_EQ(run.status().code(), util::StatusCode::kCancelled);
-}
-
-TEST(EngineTest, PerRunBudgetOverridesConfigDefault) {
-  core::Instance instance = SmallInstance(14, 16, 40);
-  EngineConfig config;
-  config.solver_name = "sampling";
-  config.budget_seconds = 1e-12;  // default would fail...
-  Engine engine = Engine::Create(config).value();
-  RunControls controls;
-  controls.budget_seconds = 0.0;  // ...but 0 means unlimited per-run
-  util::StatusOr<EngineResult> run = engine.Run(instance, controls);
-  EXPECT_TRUE(run.ok()) << run.status().ToString();
-}
-
-TEST(EngineTest, SolveOnReusesACallerGraph) {
-  core::Instance instance = SmallInstance(15, 12, 30);
-  Engine engine = Engine::Create("greedy").value();
-  GraphPlan plan;
-  core::CandidateGraph graph = engine.BuildGraph(instance, &plan).value();
-  EXPECT_EQ(plan.edges, graph.NumEdges());
-  util::StatusOr<core::SolveResult> solve = engine.SolveOn(instance, graph);
-  ASSERT_TRUE(solve.ok());
-  test::ExpectFeasible(instance, graph, solve.value().assignment);
 }
 
 // Satellite acceptance: the build phase itself now has interruption
@@ -159,7 +138,7 @@ TEST(EngineTest, MidBuildDeadlineReturnsDeadlineExceeded) {
   Engine engine = Engine::Create(config).value();
   core::SolveStats partial;
   RunControls controls;
-  controls.budget_seconds = 50e-6;
+  controls.deadline = util::Deadline(50e-6);
   controls.partial_stats = &partial;
   util::StatusOr<EngineResult> run = engine.Run(instance, controls);
   ASSERT_FALSE(run.ok());
@@ -169,20 +148,67 @@ TEST(EngineTest, MidBuildDeadlineReturnsDeadlineExceeded) {
 
 TEST(EngineTest, BuildGraphReportsTrippedDeadline) {
   core::Instance instance = SmallInstance(17, 30, 30);
-  Engine engine = Engine::Create("greedy").value();
   util::CancelToken cancel;
   cancel.Cancel();
-  util::Deadline tripped(0.0, &cancel);
   for (GraphStrategy strategy :
        {GraphStrategy::kBruteForce, GraphStrategy::kGridIndex}) {
     EngineConfig config;
     config.solver_name = "greedy";
     config.graph_strategy = strategy;
     Engine strategic = Engine::Create(config).value();
-    util::StatusOr<core::CandidateGraph> graph =
-        strategic.BuildGraph(instance, nullptr, tripped);
-    ASSERT_FALSE(graph.ok());
-    EXPECT_EQ(graph.status().code(), util::StatusCode::kCancelled);
+    core::SolveStats partial;
+    RunControls controls;
+    controls.deadline = util::Deadline(0.0, &cancel);
+    controls.partial_stats = &partial;
+    util::StatusOr<EngineResult> run = strategic.Run(instance, controls);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), util::StatusCode::kCancelled);
+    EXPECT_TRUE(partial.budget_exhausted);
+  }
+}
+
+// Run is const and thread-safe: concurrent runs on one engine -- each on
+// its own registry-created solver, all sharing the engine's pool -- give
+// the same bits as a serial run.
+TEST(EngineTest, ConcurrentRunsOnOneEngineAreBitIdentical) {
+  std::vector<core::Instance> instances;
+  instances.reserve(4);
+  for (uint64_t seed = 18; seed < 22; ++seed) {
+    instances.push_back(SmallInstance(seed, 24, 60));
+  }
+  for (const char* name : {"greedy", "sampling", "dc"}) {
+    EngineConfig config;
+    config.solver_name = name;
+    config.num_threads = 2;
+    const Engine shared = Engine::Create(config).value();
+    std::vector<std::string> serial;
+    serial.reserve(instances.size());
+    for (const core::Instance& instance : instances) {
+      serial.push_back(engine::ResultFingerprint(shared.Run(instance)));
+    }
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::string>> concurrent(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread walks the instances from a different start, so the
+        // same instance is solved by several threads at once.
+        for (size_t k = 0; k < instances.size(); ++k) {
+          const size_t i = (k + static_cast<size_t>(t)) % instances.size();
+          concurrent[t].push_back(
+              engine::ResultFingerprint(shared.Run(instances[i])));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      for (size_t k = 0; k < instances.size(); ++k) {
+        const size_t i = (k + static_cast<size_t>(t)) % instances.size();
+        EXPECT_EQ(concurrent[t][k], serial[i])
+            << name << ", thread " << t << ", instance " << i;
+      }
+    }
   }
 }
 

@@ -1,27 +1,39 @@
-// Property test closing a coverage gap: the grid-index retrieval and the
-// brute-force O(m*n) scan must produce edge-set-identical candidate
-// graphs on randomized instances (previously only spot-checked), and the
-// cost-model arbitrated GraphStrategy::kAuto must always match one of the
-// two concrete paths.
+// Property test: the engine's two graph-construction calls -- the
+// brute-force O(m*n) scan (CandidateGraph::Build) and the grid-index
+// retrieval (GridIndex::Build -> RetrieveEdges -> FromEdges) -- must
+// produce edge-set-identical candidate graphs on randomized instances,
+// and the cost-model arbitrated GraphStrategy::kAuto must report one of
+// the two concrete paths with the same edge count.
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/instance.h"
 #include "engine/engine.h"
 #include "gtest/gtest.h"
+#include "index/grid_index.h"
 #include "test_util.h"
+#include "util/deadline.h"
 
 namespace rdbsc {
 namespace {
 
 Engine MakeEngine(GraphStrategy strategy) {
   EngineConfig config;
-  config.solver_name = "greedy";  // irrelevant: only BuildGraph is used
+  config.solver_name = "greedy";
   config.graph_strategy = strategy;
   config.validate_instances = false;
   return std::move(Engine::Create(std::move(config)).value());
+}
+
+// The grid path as the engine runs it: bulk-load, retrieve, assemble.
+core::CandidateGraph GridGraph(const core::Instance& instance, double eta) {
+  index::GridIndex grid =
+      index::GridIndex::Build(instance, eta, util::Deadline()).value();
+  return core::CandidateGraph::FromEdges(
+      instance, grid.RetrieveEdges(instance.num_workers()).value());
 }
 
 // Per-worker adjacency as sorted rows: the two construction paths may
@@ -39,9 +51,8 @@ std::vector<std::vector<core::TaskId>> SortedRows(
 }
 
 TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
-  Engine brute = MakeEngine(GraphStrategy::kBruteForce);
-  Engine grid = MakeEngine(GraphStrategy::kGridIndex);
-  Engine automatic = MakeEngine(GraphStrategy::kAuto);
+  const Engine grid = MakeEngine(GraphStrategy::kGridIndex);
+  const Engine automatic = MakeEngine(GraphStrategy::kAuto);
 
   int auto_grid_picks = 0;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
@@ -51,23 +62,20 @@ TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
     core::Instance instance =
         test::SmallInstance(seed, num_tasks, num_workers);
 
-    GraphPlan brute_plan, grid_plan, auto_plan;
-    core::CandidateGraph brute_graph =
-        brute.BuildGraph(instance, &brute_plan).value();
-    core::CandidateGraph grid_graph =
-        grid.BuildGraph(instance, &grid_plan).value();
-    core::CandidateGraph auto_graph =
-        automatic.BuildGraph(instance, &auto_plan).value();
-
-    ASSERT_FALSE(brute_plan.used_grid_index);
+    // The grid engine resolves the Appendix I cell side for the instance;
+    // build the grid graph directly at that side.
+    const GraphPlan grid_plan = grid.Run(instance).value().plan;
     ASSERT_TRUE(grid_plan.used_grid_index);
+    ASSERT_GT(grid_plan.eta, 0.0);
+    core::CandidateGraph brute_graph = core::CandidateGraph::Build(instance);
+    core::CandidateGraph grid_graph = GridGraph(instance, grid_plan.eta);
 
     // Edge-set identity between the two concrete paths.
     ASSERT_EQ(grid_graph.NumEdges(), brute_graph.NumEdges())
         << "seed " << seed;
-    std::vector<std::vector<core::TaskId>> brute_rows =
-        SortedRows(brute_graph);
-    ASSERT_EQ(SortedRows(grid_graph), brute_rows) << "seed " << seed;
+    ASSERT_EQ(grid_plan.edges, brute_graph.NumEdges()) << "seed " << seed;
+    ASSERT_EQ(SortedRows(grid_graph), SortedRows(brute_graph))
+        << "seed " << seed;
 
     // The task-side adjacency must be consistent with the worker side.
     int64_t task_side_edges = 0;
@@ -77,10 +85,9 @@ TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
     }
     ASSERT_EQ(task_side_edges, brute_graph.NumEdges()) << "seed " << seed;
 
-    // kAuto picks one of the two paths and reproduces its edge set.
-    ASSERT_EQ(SortedRows(auto_graph), brute_rows) << "seed " << seed;
-    ASSERT_EQ(auto_graph.NumEdges(), brute_graph.NumEdges())
-        << "seed " << seed;
+    // kAuto picks one of the two paths and reproduces its edge count.
+    const GraphPlan auto_plan = automatic.Run(instance).value().plan;
+    ASSERT_EQ(auto_plan.edges, brute_graph.NumEdges()) << "seed " << seed;
     if (auto_plan.used_grid_index) {
       ASSERT_GT(auto_plan.eta, 0.0) << "seed " << seed;
       ++auto_grid_picks;
@@ -95,16 +102,15 @@ TEST(GraphEquivalenceTest, GridAndBruteForceAgreeOnRandomInstances) {
 }
 
 TEST(GraphEquivalenceTest, EmptyAndDegenerateInstancesAgree) {
-  Engine brute = MakeEngine(GraphStrategy::kBruteForce);
-  Engine grid = MakeEngine(GraphStrategy::kGridIndex);
   for (auto [num_tasks, num_workers] :
        {std::pair<int, int>{1, 1}, {1, 8}, {6, 1}}) {
     core::Instance instance =
         test::SmallInstance(5, num_tasks, num_workers);
-    core::CandidateGraph a = brute.BuildGraph(instance).value();
-    core::CandidateGraph b = grid.BuildGraph(instance).value();
-    EXPECT_EQ(SortedRows(a), SortedRows(b))
-        << num_tasks << "x" << num_workers;
+    for (double eta : {0.05, 0.3, 1.0}) {
+      EXPECT_EQ(SortedRows(core::CandidateGraph::Build(instance)),
+                SortedRows(GridGraph(instance, eta)))
+          << num_tasks << "x" << num_workers << ", eta " << eta;
+    }
   }
 }
 

@@ -437,12 +437,16 @@ TEST(GreedyIncrementalTest, PreviewBoundsFollowAddRemoveReset) {
   }
 }
 
+// The `window` of RandomObservation that draws each angle from its own
+// period window in [-2, 3].
+constexpr int kMixedWindows = 100;
+
 // StdBoundsView on raw observations the instance path never produces:
 // angles outside [0, 2*pi), arrivals outside [start, end], confidences
-// outside [0, 1], and many exact ties. The angles of one list share one
-// period window [k * 2pi, (k + 1) * 2pi): across windows, raw order and
-// normalized order disagree and ExpectedStdBounds itself is undefined
-// (its gaps no longer sum to 2pi).
+// outside [0, 1], and many exact ties. The angles of one list share the
+// period window [k * 2pi, (k + 1) * 2pi) for k = `window`, or come from
+// mixed windows (kMixedWindows), where raw order and normalized order
+// disagree.
 Observation RandomObservation(util::Rng& rng, const Task& task, int window,
                               const std::vector<Observation>& pool) {
   if (!pool.empty() && rng.Uniform(0.0, 1.0) < 0.25) {
@@ -454,6 +458,9 @@ Observation RandomObservation(util::Rng& rng, const Task& task, int window,
     return tie;
   }
   static const double kConfidences[] = {0.0, 1.0, 1.5, -0.2, 0.5};
+  if (window == kMixedWindows) {
+    window = static_cast<int>(rng.UniformInt(-2, 3));
+  }
   Observation o;
   o.angle = window * geo::kTwoPi + rng.Uniform(0.0, geo::kTwoPi);
   if (rng.Uniform(0.0, 1.0) < 0.1) {
@@ -478,7 +485,7 @@ Observation RandomObservation(util::Rng& rng, const Task& task, int window,
 TEST(GreedyIncrementalTest, ViewMatchesExpectedStdBoundsOnRawObservations) {
   util::Rng rng(20240611);
   StdBoundsView view;  // reused across builds, like the state's views
-  for (int trial = 0; trial < 400; ++trial) {
+  for (int trial = 0; trial < 480; ++trial) {
     Task task = test::MakeTask(rng.Uniform(0.0, 1.0), rng.Uniform(-1.0, 1.0),
                                0.0);
     task.end = task.start + rng.Uniform(0.1, 3.0);
@@ -486,7 +493,7 @@ TEST(GreedyIncrementalTest, ViewMatchesExpectedStdBoundsOnRawObservations) {
     const int r = trial % 4 == 0 ? static_cast<int>(rng.UniformInt(0, 2))
                                  : static_cast<int>(rng.UniformInt(0, 14));
     static const int kWindows[] = {0, 0, -1, 1, -2, 3};
-    const int window = kWindows[trial % 6];
+    const int window = trial < 400 ? kWindows[trial % 6] : kMixedWindows;
     std::vector<Observation> obs;
     for (int k = 0; k < r; ++k) {
       obs.push_back(RandomObservation(rng, task, window, obs));
